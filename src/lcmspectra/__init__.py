@@ -16,6 +16,7 @@ from .arith import (
     entry_E,
     factorize,
     lcm,
+    lcm_grid,
     partial_power_sum_F,
     primes_up_to,
     smallest_prime_factor_table,

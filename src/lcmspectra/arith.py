@@ -21,6 +21,7 @@ __all__ = [
     "smallest_prime_factor_table",
     "factorize",
     "lcm",
+    "lcm_grid",
     "entry_E",
     "partial_power_sum_F",
     "PowerSumTable",
@@ -177,6 +178,12 @@ def lcm(n: int, m: int) -> int:
     if n < 1 or m < 1:
         raise ValueError("lcm expects positive integers")
     return math.lcm(int(n), int(m))
+
+
+def lcm_grid(M: int) -> np.ndarray:
+    """M x M integer array of [n, m] for 1 <= n, m <= M."""
+    n = np.arange(1, M + 1)
+    return (n[:, None] // np.gcd.outer(n, n)) * n[None, :]
 
 
 def entry_E(n: int, m: int, params: SpectralParams) -> float:

@@ -53,14 +53,13 @@ class BeurlingSystem:
 def system_from_spectra(table: GlobalSpectrumTable) -> BeurlingSystem:
     """Generators r_p = (lambda_1(E_p)/lambda_0(E_p))^(-1/rho), sorted."""
     inv_rho = -1.0 / table.params.rho
-    gens = np.empty(len(table.primes))
-    for i, p in enumerate(table.primes):
-        r = table.ratios[i]
-        if r.size == 0:
-            raise FloorTooHigh(
-                f"no second eigenvalue for p={int(p)}: floor {table.floor} too high"
-            )
-        gens[i] = r[0] ** inv_rho
+    empty = np.flatnonzero(table.lengths == 0)
+    if empty.size:
+        raise FloorTooHigh(
+            f"no second eigenvalue for p={int(table.primes[empty[0]])}: "
+            f"floor {table.floor} too high"
+        )
+    gens = table.kept_ratios[table.offsets[:-1]] ** inv_rho
     return BeurlingSystem(np.sort(gens), table.params)
 
 

@@ -39,16 +39,6 @@ def s_threshold(params: SpectralParams) -> float:
     return max(1.0 / (2.0 * params.rho), (2.0 - params.tau) / (2.0 * params.rho))
 
 
-def _g_from_eigenvalues(p: float, params: SpectralParams, s: float, lam: np.ndarray) -> float:
-    terms = lam**s
-    # terms decrease with k; drop the remainder once it is invisible
-    running = np.cumsum(terms)
-    small = terms < _TERM_CUT * (running - terms)
-    cut = int(np.argmax(small)) if small.any() else terms.size
-    total = math.fsum(terms[:cut])
-    return (1.0 - float(p) ** (-params.rho * s)) * total
-
-
 def g_p_at(
     p: float,
     params: SpectralParams,
@@ -63,7 +53,12 @@ def g_p_at(
         )
     if spectrum is None:
         spectrum = local_spectrum(p, params, target_floor)
-    return _g_from_eigenvalues(p, params, s, spectrum.eigenvalues)
+    terms = spectrum.eigenvalues**s
+    # terms decrease with k; drop the remainder once it is invisible
+    running = np.cumsum(terms)
+    small = terms < _TERM_CUT * (running - terms)
+    cut = int(np.argmax(small)) if small.any() else terms.size
+    return (1.0 - float(p) ** (-params.rho * s)) * math.fsum(terms[:cut])
 
 
 @dataclass(frozen=True)
@@ -113,12 +108,9 @@ def kappa_numeric(
     p_max = table.p_max
     primes = table.primes
 
-    g = np.empty(len(primes))
     base = primes.astype(float) ** (-params.rho * s)
-    for i in range(len(primes)):
-        lam0 = table.lambda0[i]
-        r = table.ratios[i]
-        g[i] = (1.0 - base[i]) * lam0**s * (1.0 + float(np.sum(r**s)))
+    sums = np.bincount(table.owner, weights=table.kept_ratios**s, minlength=len(primes))
+    g = (1.0 - base) * table.lambda0**s * (1.0 + sums)
     if np.any(g <= 0.0):
         raise InvalidRegime("non-positive Euler factor; spectra unavailable")
 

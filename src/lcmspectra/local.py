@@ -137,9 +137,14 @@ def jacobi_eigh(mat: np.ndarray, **kw) -> tuple[np.ndarray, np.ndarray]:
 # local blocks and their spectra
 # ---------------------------------------------------------------------------
 
-def build_local_matrix(p: float, params: SpectralParams, K: int) -> np.ndarray:
-    """K x K upper-left block: entry (j, k) = p^(sigma (j+k) - tau max(j,k))."""
-    if p <= 1.0:
+def build_local_matrix(p, params: SpectralParams, K: int) -> np.ndarray:
+    """K x K upper-left block: entry (j, k) = p^(sigma (j+k) - tau max(j,k)).
+
+    Vectorises over p: an array of bases gives the stack of blocks, of
+    shape p.shape + (K, K).
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 1.0):
         raise ValueError("base p must exceed 1")
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -147,17 +152,19 @@ def build_local_matrix(p: float, params: SpectralParams, K: int) -> np.ndarray:
     expo = params.sigma * (j[:, None] + j[None, :]) - params.tau * np.maximum(
         j[:, None], j[None, :]
     )
-    return np.exp(math.log(p) * expo)
+    return np.exp(np.log(p)[..., None, None] * expo)
 
 
-def truncation_order(p: float, params: SpectralParams, target_floor: float) -> int:
+def truncation_order(p, params: SpectralParams, target_floor: float):
     """Block size placing the discarded diagonal a decade below the floor.
 
     The diagonal p^(-rho k) sets the scale of what truncation throws away;
-    two extra rows add safety margin.
+    two extra rows add safety margin.  Vectorises over p.
     """
-    K = math.ceil(math.log(target_floor / 10.0) / (-params.rho * math.log(p))) + 2
-    return max(K, 3)
+    logp = np.log(np.asarray(p, dtype=float))
+    K = np.ceil(math.log(target_floor / 10.0) / (-params.rho * logp)).astype(np.int64)
+    K = np.maximum(K + 2, 3)
+    return int(K) if K.ndim == 0 else K
 
 
 def truncation_tail_bound(p, params: SpectralParams, K) -> np.ndarray | float:
@@ -197,11 +204,6 @@ class LocalSpectrum:
     top_overlap: float
     tail_bound: float
     floor: float
-
-    @property
-    def ratios(self) -> np.ndarray:
-        """lambda_k / lambda_0 for k >= 1."""
-        return self.eigenvalues[1:] / self.eigenvalues[0]
 
 
 def local_spectrum(

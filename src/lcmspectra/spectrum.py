@@ -10,9 +10,12 @@ against dense finite sections.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import struct
+import tempfile
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +25,7 @@ from .arith import (
     FactoredIndex,
     SpectralParams,
     factorize,
+    lcm_grid,
     primes_up_to,
     smallest_prime_factor_table,
 )
@@ -35,11 +39,12 @@ from .errors import (
 )
 from .local import (
     DEFAULT_FLOOR,
-    a_norm_squared,
     best_envelope,
+    build_local_matrix,
     hs_bound_squared,
     jacobi_eigh_batch,
     LocalSpectrum,
+    truncation_order,
     truncation_tail_bound,
 )
 
@@ -58,6 +63,8 @@ __all__ = [
     "save_table",
     "load_table",
 ]
+
+logger = logging.getLogger(__name__)
 
 # conservative allowance for Jacobi off-diagonal residue (1e-14 * trace <= 4)
 _SOLVER_MARGIN = 1e-13
@@ -122,49 +129,59 @@ def _product_tail_bound(params: SpectralParams, p_max: int) -> float:
 class GlobalSpectrumTable:
     """Per-prime spectra below a cutoff plus the assembled base product.
 
-    Read-only after construction; queries are safe from multiple threads
-    (the lazily built envelope and value caches are idempotent, so a race
-    merely recomputes identical content).  Construction parallelises over
-    primes with a deterministic ordered reduction (ascending p,
-    compensated log summation).
+    The spectra are stored flat, in compressed-row form: row i (the i-th
+    prime, ascending) owns kept_ratios[offsets[i]:offsets[i + 1]], the
+    ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
+    order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
+    length and owner[j] the row of kept_ratios[j].  Every array is
+    read-only and nothing is cached after construction, so queries are
+    safe from multiple threads.
     """
 
-    def __init__(self, params, p_max, floor, primes, eigenvalues, overlaps, orders):
+    def __init__(
+        self, params, p_max, floor, primes, lambda0, offsets, kept_ratios, overlaps
+    ):
         self.params = params
         self.p_max = int(p_max)
         self.floor = float(floor)
         self.primes = primes
-        # eigenvalues: ragged list, kept spectrum per prime (descending)
-        self.lambda0 = np.array([e[0] for e in eigenvalues])
-        self.ratios = [e[1:] / e[0] for e in eigenvalues]
+        self.lambda0 = lambda0
+        self.offsets = offsets
+        self.kept_ratios = kept_ratios
         self.overlaps = overlaps
-        self.trunc_orders = orders
+        self.trunc_orders = truncation_order(primes, params, self.floor)
         self.tail_bounds = truncation_tail_bound(
-            primes.astype(float), params, orders.astype(float)
+            primes.astype(float), params, self.trunc_orders.astype(float)
         )
-        self._index = {int(p): i for i, p in enumerate(primes)}
+        self.lengths = np.diff(offsets)
+        self.owner = np.repeat(np.arange(len(primes)), self.lengths)
+        for a in (primes, lambda0, offsets, kept_ratios, overlaps, self.trunc_orders,
+                  self.tail_bounds, self.lengths, self.owner):
+            a.setflags(write=False)
         self.base_product = math.exp(math.fsum(np.log(self.lambda0)))
         try:
             self.tail_exponent_bound = _product_tail_bound(params, self.p_max)
         except CertificateUnavailable:
             # enumeration still works; only tail-certified queries must fail
             self.tail_exponent_bound = math.inf
-        self._envelope: SpectralEnvelope | None = None
-        self._values: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.primes)
 
     def index_of(self, p: int) -> int:
-        try:
-            return self._index[int(p)]
-        except KeyError:
-            raise PrimeOutOfRange(f"prime {p} exceeds table cutoff {self.p_max}") from None
+        i = int(np.searchsorted(self.primes, int(p)))
+        if i == len(self.primes) or self.primes[i] != int(p):
+            raise PrimeOutOfRange(f"prime {p} exceeds table cutoff {self.p_max}")
+        return i
+
+    def ratios_at(self, i: int) -> np.ndarray:
+        """Kept lambda_k / lambda_0, k >= 1, of row i (descending)."""
+        return self.kept_ratios[self.offsets[i] : self.offsets[i + 1]]
 
     def local(self, p: int) -> LocalSpectrum:
         """Reassemble the stored LocalSpectrum for one prime."""
         i = self.index_of(p)
-        eig = np.concatenate([[1.0], self.ratios[i]]) * self.lambda0[i]
+        eig = np.concatenate([[1.0], self.ratios_at(i)]) * self.lambda0[i]
         return LocalSpectrum(
             p=float(p),
             params=self.params,
@@ -176,19 +193,8 @@ class GlobalSpectrumTable:
         )
 
     def envelope(self) -> SpectralEnvelope:
-        if self._envelope is None:
-            self._envelope = _build_envelope(self)
-        return self._envelope
-
-
-def _solve_block(params: SpectralParams, ps: np.ndarray, K: int):
-    j = np.arange(K, dtype=float)
-    expo = params.sigma * (j[:, None] + j[None, :]) - params.tau * np.maximum(
-        j[:, None], j[None, :]
-    )
-    mats = np.exp(np.log(ps.astype(float))[:, None, None] * expo[None, :, :])
-    eig, ovl = jacobi_eigh_batch(mats)
-    return eig, ovl[:, 0]
+        """The certified envelope, recomputed on each call (milliseconds)."""
+        return _build_envelope(self)
 
 
 def build_table(
@@ -202,8 +208,9 @@ def build_table(
 
     Blocks share a truncation order K in long runs of consecutive primes,
     so the Jacobi sweeps run batched per K group (split across threads
-    when requested).  cache_dir, when given, persists the per-prime
-    records in the binary table format and reuses them on rebuild.
+    when requested).  cache_dir, when given, persists the table in the
+    binary format of save_table and reuses it on rebuild; a cache file
+    that is corrupt or answers another request is rebuilt.
     """
     params.require_regime()
     p_max = int(p_max)
@@ -214,51 +221,49 @@ def build_table(
         cache_path = _cache_path(cache_dir, params, p_max, target_floor)
         if os.path.exists(cache_path):
             cached = load_table(cache_path)
-            if cached is not None:
+            request = (params, float(target_floor), p_max)
+            if cached is not None and (cached.params, cached.floor, cached.p_max) == request:
                 return cached
+            logger.warning("rebuilding unusable cache file %s", cache_path)
 
     primes = primes_up_to(p_max)
-    logs = np.log(primes.astype(float))
-    orders = np.ceil(
-        math.log(target_floor / 10.0) / (-params.rho * logs)
-    ).astype(np.int64) + 2
-    orders = np.maximum(orders, 3)
-
-    eig_rows: list[np.ndarray | None] = [None] * len(primes)
-    overlaps = np.empty(len(primes))
-
-    def submit(lo: int, hi: int, K: int):
-        return (lo, hi), _solve_block(params, primes[lo:hi], K)
-
+    orders = truncation_order(primes, params, target_floor)
+    # one group per run of equal K (K falls with p), chunked; ascending p
+    bounds = np.append(np.flatnonzero(np.diff(orders, prepend=0)), len(primes)).tolist()
     jobs = []
-    for K in np.unique(orders):
-        idx = np.flatnonzero(orders == K)
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if hi - lo != len(idx):  # orders are monotone in p; guard anyway
-            raise EigensolverError("non-contiguous truncation-order group")
-        chunk = max(1, _BLOCK_ELEMS // int(K * K))
-        for start in range(lo, hi, chunk):
-            jobs.append((start, min(start + chunk, hi), int(K)))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        K = int(orders[lo])
+        chunk = max(1, _BLOCK_ELEMS // (K * K))
+        jobs += [(start, min(start + chunk, hi), K) for start in range(lo, hi, chunk)]
+
+    def solve(job):
+        lo, hi, K = job
+        return jacobi_eigh_batch(build_local_matrix(primes[lo:hi], params, K))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: submit(*j), jobs))
+            results = list(pool.map(solve, jobs))
     else:
-        results = [submit(*j) for j in jobs]
+        results = [solve(j) for j in jobs]
 
-    for (lo, hi), (eig, ovl) in results:
-        overlaps[lo:hi] = ovl
-        for i in range(lo, hi):
-            row = eig[i - lo]
-            kept = row[row > target_floor]
-            if kept.size == 0 or kept[0] < 1.0 - 1e-10:
-                raise EigensolverError(
-                    f"inconsistent local spectrum at p={int(primes[i])}"
-                )
-            eig_rows[i] = kept
-
+    lambda0 = np.empty(len(primes))
+    overlaps = np.empty(len(primes))
+    lengths = np.empty(len(primes), dtype=np.int64)
+    parts = []
+    for (lo, hi, _), (eig, ovl) in zip(jobs, results):
+        # rows descend, so the kept eigenvalues of a row are a prefix
+        kept = eig > target_floor
+        bad = ~kept[:, 0] | (eig[:, 0] < 1.0 - 1e-10)
+        if bad.any():
+            p = int(primes[lo + int(np.argmax(bad))])
+            raise EigensolverError(f"inconsistent local spectrum at p={p}")
+        lambda0[lo:hi] = eig[:, 0]
+        overlaps[lo:hi] = ovl[:, 0]
+        lengths[lo:hi] = kept.sum(axis=1) - 1
+        parts.append((eig[:, 1:] / eig[:, :1])[kept[:, 1:]])
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
     table = GlobalSpectrumTable(
-        params, p_max, target_floor, primes, eig_rows, overlaps, orders
+        params, p_max, target_floor, primes, lambda0, offsets, np.concatenate(parts), overlaps
     )
     if cache_path:
         save_table(table, cache_path)
@@ -293,35 +298,46 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
             raise PrimeOutOfRange(
                 f"prime factor {p} of n={n} exceeds table cutoff {table.p_max}"
             )
-        r = table.ratios[table.index_of(p)]
-        if k > r.size:
-            raise FloorTooHigh(
-                f"lambda_{k}(E_{p}) lies below the floor {table.floor}"
-            )
-        value *= r[k - 1]
+        i = table.index_of(p)
+        if k > table.lengths[i]:
+            raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
+        value *= table.kept_ratios[table.offsets[i] + k - 1]
     return GlobalEigenvalue(int(n), fi, value)
 
 
 def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
     """values[n] = lambda_n for 1 <= n <= n_max; exponents below the floor
-    contribute 0 (kept total, never silently wrong)."""
-    if table._values is not None and table._values.size > n_max:
-        return table._values[: n_max + 1]
+    contribute 0 (kept total, never silently wrong).
+
+    Each round peels the smallest prime power p^k off every unfinished n,
+    so Lambda_0 is multiplied by the ratios in ascending-prime order, as
+    in lambda_of, and the values are bit-identical to it.
+    """
+    if n_max > table.p_max:
+        raise PrimeOutOfRange(
+            f"enumeration needs p_max >= n_max, got p_max={table.p_max} < {n_max}"
+        )
     spf = smallest_prime_factor_table(n_max)
-    vals = np.zeros(n_max + 1)
-    vals[1] = table.base_product
-    ratios = table.ratios
-    index = table._index
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m = n // p
-        k = 1
-        while m % p == 0:
-            m //= p
-            k += 1
-        r = ratios[index[p]]
-        vals[n] = vals[m] * r[k - 1] if k <= r.size else 0.0
-    table._values = vals
+    vals = np.full(n_max + 1, table.base_product)
+    vals[0] = 0.0
+    ns = np.arange(2, n_max + 1)
+    rest = ns.copy()
+    while ns.size:
+        p = spf[rest]
+        rest //= p
+        k = np.ones(ns.size, dtype=np.int64)
+        again = np.flatnonzero(rest % p == 0)
+        while again.size:
+            rest[again] //= p[again]
+            k[again] += 1
+            again = again[rest[again] % p[again] == 0]
+        i = np.searchsorted(table.primes, p)
+        ok = k <= table.lengths[i]
+        factor = np.zeros(ns.size)
+        factor[ok] = table.kept_ratios[table.offsets[i[ok]] + k[ok] - 1]
+        vals[ns] *= factor
+        more = rest > 1
+        ns, rest = ns[more], rest[more]
     return vals
 
 
@@ -332,10 +348,6 @@ def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> list[GlobalEig
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > table.p_max:
-        raise PrimeOutOfRange(
-            f"enumeration needs p_max >= n_max, got p_max={table.p_max} < {n_max}"
-        )
     vals = _lambda_values(table, n_max)[1:]
     ns = np.arange(1, n_max + 1)
     order = np.lexsort((ns, -vals))
@@ -347,24 +359,25 @@ def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> list[GlobalEig
 
 def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:
     params = table.params
-    rho = params.rho
-    log_cstar = 0.0
-    cap = table.floor
-    for i in range(len(table.primes)):
-        lam0 = table.lambda0[i]
-        lamk = table.ratios[i] * lam0
-        err = float(table.tail_bounds[i]) + _SOLVER_MARGIN
-        logp = math.log(table.primes[i])
-        # only eigenvalues far above the error margin enter the ratio product;
-        # everything deeper is covered by the cap clause below
-        inc = lamk >= 1e4 * err
-        if inc.any():
-            k = np.flatnonzero(inc) + 1.0
-            f = float(np.max(np.log((lamk[inc] + err) / (lam0 - err)) + rho * k * logp))
-            if f > 0.0:
-                log_cstar += f
-        excluded = lamk[~inc]
-        cap = max(cap, (float(excluded[0]) if excluded.size else table.floor) + err)
+    owner, lam0 = table.owner, table.lambda0
+    err = table.tail_bounds + _SOLVER_MARGIN
+    lamk = table.kept_ratios * lam0[owner]
+    k = np.arange(owner.size) - table.offsets[owner] + 1.0
+    # only eigenvalues far above the error margin enter the ratio product;
+    # everything deeper is covered by the cap clause below
+    inc = lamk >= 1e4 * err[owner]
+    o = owner[inc]
+    f = np.log((lamk[inc] + err[o]) / (lam0[o] - err[o]))
+    f += params.rho * k[inc] * np.log(table.primes[o])
+    f_row = np.full(len(table), -np.inf)
+    np.maximum.at(f_row, o, f)
+    log_cstar = math.fsum(f_row[f_row > 0.0])
+    # a row's largest excluded eigenvalue, or the floor if it excludes none
+    excluded = ~inc
+    none_excluded = np.bincount(owner[excluded], minlength=len(table)) == 0
+    cap = float(np.max(np.concatenate((
+        [table.floor], (lamk + err[owner])[excluded], (table.floor + err)[none_excluded]
+    ))))
     eps = math.log(best_envelope(float(table.p_max), params).c_upper) / math.log(
         table.p_max
     )
@@ -422,13 +435,10 @@ def entry_matrix(params: SpectralParams, N: int) -> np.ndarray:
     """Dense top-left N x N block of the infinite matrix (log-space entries)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = np.arange(1, N + 1)
-    g = np.gcd.outer(n, n)
-    ell = (n[:, None] // g) * n[None, :]
-    logn = np.log(n.astype(float))
+    logn = np.log(np.arange(1, N + 1, dtype=float))
     return np.exp(
         params.sigma * (logn[:, None] + logn[None, :])
-        - params.tau * np.log(ell.astype(float))
+        - params.tau * np.log(lcm_grid(N).astype(float))
     )
 
 
@@ -445,69 +455,61 @@ def finite_section_eigs(params: SpectralParams, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary persistence (little-endian, all payload as float64)
+# binary persistence: header, contiguous little-endian arrays, CRC-32
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LSPC"
-_VERSION = 1
+_VERSION = 2
+# magic, version, sigma, tau, floor, p_max, number P of primes, number R of ratios
+_HEADER = struct.Struct("<4sI3d3Q")
+_CRC = struct.Struct("<I")
 
 
 def _cache_path(cache_dir, params, p_max, floor):
-    name = (
-        f"table_s{params.sigma:.17g}_t{params.tau:.17g}"
-        f"_f{floor:.6g}_P{int(p_max)}.lsp"
-    )
+    name = f"table_s{params.sigma:.17g}_t{params.tau:.17g}_f{floor:.17g}_P{int(p_max)}.lsp"
     return os.path.join(os.fspath(cache_dir), name)
 
 
 def save_table(table: GlobalSpectrumTable, path) -> None:
-    """Write the per-prime records: versioned header, then for each prime
-    (p, K, eigenvalues, overlap) as little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(
-            struct.pack(
-                "<3dQ", table.params.sigma, table.params.tau, table.floor, table.p_max
-            )
-        )
-        fh.write(struct.pack("<Q", len(table.primes)))
-        for i, p in enumerate(table.primes):
-            eig = np.concatenate([[1.0], table.ratios[i]]) * table.lambda0[i]
-            rec = np.empty(eig.size + 3)
-            rec[0] = float(p)
-            rec[1] = float(eig.size)
-            rec[2:-1] = eig
-            rec[-1] = table.overlaps[i]
-            fh.write(rec.astype("<f8").tobytes())
+    """Write the header, then primes and offsets as int64, then lambda0,
+    overlaps and the kept ratios as float64, then a CRC-32 of all of it.
+
+    The ratios are stored as such, so a round trip is bit-exact.  The file
+    is written under a temporary name in the same directory and moved into
+    place, so readers never see a partial file.
+    """
+    P, R = len(table.primes), table.kept_ratios.size
+    sigma, tau = table.params.sigma, table.params.tau
+    ints = np.concatenate((table.primes, table.offsets)).astype("<i8")
+    floats = np.concatenate((table.lambda0, table.overlaps, table.kept_ratios)).astype("<f8")
+    body = _HEADER.pack(_MAGIC, _VERSION, sigma, tau, table.floor, table.p_max, P, R)
+    body += ints.tobytes() + floats.tobytes()
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.fspath(path)) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(body + _CRC.pack(zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path) -> GlobalSpectrumTable | None:
-    """Read a table written by save_table; None if the header mismatches."""
+    """Read a table written by save_table; None if the file is short,
+    corrupt, of another format version, or its lengths disagree."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MAGIC:
+    if len(raw) < _HEADER.size + _CRC.size:
         return None
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _VERSION:
+    magic, version, sigma, tau, floor, p_max, P, R = _HEADER.unpack_from(raw)
+    size = _HEADER.size + 8 * (4 * P + 1 + R)
+    if (magic, version, len(raw)) != (_MAGIC, _VERSION, size + _CRC.size) or (
+        _CRC.unpack_from(raw, size)[0] != zlib.crc32(raw[:size])
+    ):
         return None
-    sigma, tau, floor, p_max = struct.unpack_from("<3dQ", raw, 8)
-    (count,) = struct.unpack_from("<Q", raw, 40)
-    params = SpectralParams(sigma, tau)
-    body = np.frombuffer(raw, dtype="<f8", offset=48)
-    primes = np.empty(count, dtype=np.int64)
-    eig_rows = []
-    overlaps = np.empty(count)
-    pos = 0
-    for i in range(count):
-        primes[i] = int(body[pos])
-        size = int(body[pos + 1])
-        eig_rows.append(np.array(body[pos + 2 : pos + 2 + size]))
-        overlaps[i] = body[pos + 2 + size]
-        pos += size + 3
-    logs = np.log(primes.astype(float))
-    orders = np.ceil(math.log(floor / 10.0) / (-params.rho * logs)).astype(np.int64) + 2
-    orders = np.maximum(orders, 3)
+    ints = np.frombuffer(raw, "<i8", count=2 * P + 1, offset=_HEADER.size)
+    floats = np.frombuffer(raw, "<f8", count=2 * P + R, offset=_HEADER.size + 8 * ints.size)
     return GlobalSpectrumTable(
-        params, int(p_max), floor, primes, eig_rows, overlaps, orders
+        SpectralParams(sigma, tau), p_max, floor, ints[:P], floats[:P], ints[P:],
+        floats[2 * P:], floats[P : 2 * P],
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PowerSumTable, SpectralParams
+from .arith import PowerSumTable, SpectralParams, lcm_grid
 from .errors import InvalidRegime
 from .spectrum import entry_matrix
 
@@ -81,12 +81,6 @@ def build_toeplitz(N: int, sigma: float) -> ToeplitzTruncation:
     return ToeplitzTruncation(N, float(sigma), T)
 
 
-def _lcm_grid(N: int, M: int | None = None) -> np.ndarray:
-    n = np.arange(1, (M or N) + 1)
-    g = np.gcd.outer(n, n)
-    return (n[:, None] // g) * n[None, :]
-
-
 def gram_via_formula(
     N: int, sigma: float, table: PowerSumTable | None = None
 ) -> GramMatrix:
@@ -100,7 +94,7 @@ def gram_via_formula(
     if table is None:
         table = PowerSumTable(sigma, N)
     n = np.arange(1, N + 1, dtype=float)
-    ell = _lcm_grid(N)
+    ell = lcm_grid(N)
     counts = np.where(ell <= N, N // ell, 0)
     vals = (
         np.multiply.outer(n**sigma, n**sigma)
@@ -165,7 +159,7 @@ def hadamard_factor(
     rho = 1.0 - 2.0 * sigma
     if table is None:
         table = PowerSumTable(sigma, N)
-    ell = _lcm_grid(N, M)
+    ell = lcm_grid(M)
     counts = np.where(ell <= N, N // ell, 0)
     vals = ell.astype(float) ** rho * table.at_int(counts) / table.at_int(N)
     return HadamardFactor(N, M, float(sigma), vals)

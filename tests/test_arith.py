@@ -12,6 +12,7 @@ from lcmspectra import (
     entry_E,
     factorize,
     lcm,
+    lcm_grid,
     partial_power_sum_F,
     primes_up_to,
     smallest_prime_factor_table,
@@ -117,6 +118,13 @@ class TestLcm:
     @settings(max_examples=100, deadline=None)
     def test_gcd_lcm_product(self, n, m):
         assert lcm(n, m) * math.gcd(n, m) == n * m
+
+    def test_grid(self):
+        G = lcm_grid(40)
+        assert G.shape == (40, 40)
+        assert all(
+            G[n - 1, m - 1] == math.lcm(n, m) for n in range(1, 41) for m in range(1, 41)
+        )
 
 
 class TestEntry:

@@ -89,7 +89,7 @@ class TestToySystems:
 class TestSpectralSystem:
     def test_generator_definition_at_rho_one(self, table_small):
         system = system_from_spectra(table_small)
-        gamma = table_small.ratios[0][0]  # lambda_1/lambda_0 at p = 2
+        gamma = table_small.ratios_at(0)[0]  # lambda_1/lambda_0 at p = 2
         assert np.min(system.generators) == pytest.approx(gamma**-1.0, rel=1e-14)
 
     def test_sorted_ascending_above_one(self, table_small):
@@ -100,7 +100,7 @@ class TestSpectralSystem:
     def test_generators_approach_primes(self, table_small):
         # |r_p - p| <= C p^(1 - tau/2) with C fitted on p <= 50
         rs = np.array(
-            [table_small.ratios[i][0] ** -1.0 for i in range(len(table_small.primes))]
+            [table_small.ratios_at(i)[0] ** -1.0 for i in range(len(table_small.primes))]
         )
         ps = table_small.primes.astype(float)
         dev = np.abs(rs - ps) * ps ** (P25.tau / 2 - 1.0)
@@ -113,7 +113,7 @@ class TestSpectralSystem:
         table = table_small
         system = system_from_spectra(table)
         gamma1 = {
-            int(p): table.ratios[i][0] for i, p in enumerate(table.primes)
+            int(p): table.ratios_at(i)[0] for i, p in enumerate(table.primes)
         }
         xs = []
         for n in range(1, 4001):

@@ -205,3 +205,18 @@ class TestCache:
             assert code == 0
         assert len(os.listdir(cache)) == 1
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("size", [20, 2000])
+    def test_corrupt_cache_is_rebuilt(self, size, capsys, tmp_path, monkeypatch):
+        argv = ["kappa", "--sigma", "0.25", "--tau", "1.5", "--pmax", "3000"]
+        code, cold, _ = run(argv, capsys)
+        assert code == 0
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("LCM_SPECTRA_CACHE_DIR", str(cache))
+        assert run(argv, capsys)[:2] == (0, cold)
+        (path,) = cache.iterdir()
+        path.write_bytes(path.read_bytes()[:size])
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (0, cold)
+        assert "Traceback" not in err
+        assert run(argv, capsys)[:2] == (0, cold)  # the rebuilt file loads

@@ -17,6 +17,7 @@ from lcmspectra import (
     jacobi_eigh,
     jacobi_eigh_batch,
     local_spectrum,
+    primes_up_to,
     sandwich_envelope,
     top_eig_certificate,
     truncation_order,
@@ -45,6 +46,25 @@ class TestBuildMatrix:
     def test_exactly_symmetric(self):
         A = build_local_matrix(7, P25, 10)
         assert np.array_equal(A, A.T)
+
+    def test_stack_of_bases_matches_single_blocks(self):
+        ps = np.array([2, 3, 7, 1999])
+        stack = build_local_matrix(ps, P25, 6)
+        assert stack.shape == (4, 6, 6)
+        for p, A in zip(ps, stack):
+            assert np.array_equal(A, build_local_matrix(int(p), P25, 6))
+
+    def test_rejects_base_at_most_one(self):
+        with pytest.raises(ValueError):
+            build_local_matrix(np.array([2.0, 1.0]), P25, 3)
+
+    def test_truncation_order_vectorises(self):
+        ps = primes_up_to(2000)
+        for params in (P25, SpectralParams(0.25, 1.0)):
+            Ks = truncation_order(ps, params, 1e-14)
+            assert Ks.dtype == np.int64
+            assert Ks.tolist() == [truncation_order(int(p), params, 1e-14) for p in ps]
+            assert Ks[0] == math.ceil(math.log(1e-15) / (-params.rho * math.log(2))) + 2
 
 
 class TestJacobi:

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmspectra import (
     EnumerationInfeasible,
@@ -19,6 +21,9 @@ from lcmspectra import (
     load_table,
     save_table,
 )
+from lcmspectra.kappa import g_p_at, kappa_numeric
+from lcmspectra.local import local_spectrum
+from lcmspectra.spectrum import _cache_path, _lambda_values
 
 P25 = SpectralParams(0.25, 1.5)
 
@@ -49,7 +54,7 @@ class TestLambdaOf:
 
     def test_prime_case(self, table_small):
         i = table_small.index_of(7)
-        expected = table_small.base_product * table_small.ratios[i][0]
+        expected = table_small.base_product * table_small.ratios_at(i)[0]
         assert lambda_of(7, table_small).value == pytest.approx(expected, rel=1e-15)
 
     def test_prime_beyond_cutoff(self, table_small):
@@ -185,8 +190,6 @@ class TestScalingLaw:
         # rank * lambda_(rank) has running median over [N/2, N] tending to
         # kappa = 1; ranks need the sorted sequence of the whole spectrum,
         # so enumerate far beyond the largest window
-        from lcmspectra.spectrum import _lambda_values
-
         sorted_vals = np.sort(_lambda_values(table_counting, 100_000)[1:])[::-1]
         devs = []
         for N in (500, 2000, 10_000):
@@ -197,6 +200,120 @@ class TestScalingLaw:
         assert devs[-1] < 1e-3
 
 
+def _envelope_loop(table):
+    """(c_star, cap) from the per-prime loop that the flat envelope replaced."""
+    rho = table.params.rho
+    log_cstar = 0.0
+    cap = table.floor
+    for i in range(len(table.primes)):
+        lam0 = table.lambda0[i]
+        lamk = table.ratios_at(i) * lam0
+        err = float(table.tail_bounds[i]) + 1e-13
+        logp = math.log(table.primes[i])
+        inc = lamk >= 1e4 * err
+        if inc.any():
+            k = np.flatnonzero(inc) + 1.0
+            f = float(np.max(np.log((lamk[inc] + err) / (lam0 - err)) + rho * k * logp))
+            if f > 0.0:
+                log_cstar += f
+        excluded = lamk[~inc]
+        cap = max(cap, (float(excluded[0]) if excluded.size else table.floor) + err)
+    return math.exp(log_cstar), cap
+
+
+@pytest.fixture(scope="module")
+def table_half():
+    return build_table(SpectralParams(0.25, 1.0), 300, target_floor=1e-8)
+
+
+@pytest.fixture(scope="module")
+def values_counting(table_counting):
+    return _lambda_values(table_counting, 100_000)
+
+
+class TestFlatTable:
+    def test_layout(self, table_small):
+        t = table_small
+        assert t.offsets[0] == 0 and t.offsets[-1] == t.kept_ratios.size
+        assert np.all(t.lengths >= 1)
+        assert np.array_equal(t.owner, np.repeat(np.arange(len(t)), t.lengths))
+        for i in range(len(t)):
+            r = t.ratios_at(i)
+            assert np.all(np.diff(r) <= 0) and 0 < r[0] < 1
+            assert np.all(r * t.lambda0[i] > t.floor)
+
+    def test_read_only(self, table_small):
+        for a in (table_small.kept_ratios, table_small.offsets, table_small.lambda0):
+            assert not a.flags.writeable
+
+    def test_rows_match_single_block_solve(self, table_small):
+        for p in (2, 3, 97, 1999):
+            got = table_small.local(p)
+            ref = local_spectrum(p, P25)
+            assert got.truncation_order == ref.truncation_order
+            assert got.eigenvalues.size == ref.eigenvalues.size
+            np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-13, atol=0)
+            assert got.top_overlap == ref.top_overlap
+
+    def test_index_of(self, table_small):
+        assert table_small.index_of(2) == 0
+        assert table_small.primes[table_small.index_of(1999)] == 1999
+        for n in (1, 4, 2001, 2003):
+            with pytest.raises(PrimeOutOfRange):
+                table_small.index_of(n)
+
+    @pytest.mark.parametrize("name", ["table_small", "table_counting"])
+    def test_envelope_matches_per_prime_loop(self, name, request):
+        table = request.getfixturevalue(name)
+        c_star, cap = _envelope_loop(table)
+        env = table.envelope()
+        assert env.c_star == pytest.approx(c_star, rel=1e-13, abs=0)
+        assert env.cap == cap
+
+    @pytest.mark.parametrize("name", ["table_small", "table_half"])
+    def test_euler_factors_match_g_p_at(self, name, request):
+        table = request.getfixturevalue(name)
+        comp = kappa_numeric(table.params, table=table)
+        ref = [
+            g_p_at(int(p), table.params, comp.s, spectrum=table.local(p))
+            for p in table.primes
+        ]
+        np.testing.assert_allclose(comp.g_factors, ref, rtol=1e-13, atol=0)
+
+    def test_lambda_values_equal_lambda_of_up_to_2e4(self, values_counting, table_counting):
+        ref = [lambda_of(n, table_counting).value for n in range(1, 20_001)]
+        assert np.array_equal(values_counting[1:20_001], ref)
+
+    @given(n=st.integers(1, 100_000))
+    @settings(max_examples=400, deadline=None)
+    def test_lambda_values_equal_lambda_of(self, n, values_counting, table_counting):
+        assert values_counting[n] == lambda_of(n, table_counting).value
+
+    def test_lambda_values_zero_below_floor(self):
+        table = build_table(P25, 3000, target_floor=1e-3)
+        n = 7 ** (int(table.lengths[table.index_of(7)]) + 1)  # lambda_k(E_7) < floor
+        vals = _lambda_values(table, 3000)
+        assert n <= 3000 and vals[n] == 0.0
+        with pytest.raises(FloorTooHigh):
+            lambda_of(n, table)
+        assert vals[7 * 11] == lambda_of(7 * 11, table).value
+
+    def test_lambda_values_need_coverage(self, table_small):
+        with pytest.raises(PrimeOutOfRange):
+            _lambda_values(table_small, 2003)
+
+
+def _cache_file(directory, p_max=500, floor=1e-8):
+    return _cache_path(directory, P25, p_max, floor)
+
+
+@pytest.fixture(scope="module")
+def table_bytes(table_small, tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "table.lsp"
+    save_table(table_small, path)
+    return path.read_bytes()
+
+
 class TestPersistence:
     def test_roundtrip(self, table_small, tmp_path):
         path = tmp_path / "table.lsp"
@@ -205,12 +322,15 @@ class TestPersistence:
         assert back is not None
         assert back.params == table_small.params
         assert back.p_max == table_small.p_max
+        assert back.floor == table_small.floor
         assert back.base_product == table_small.base_product
-        assert np.array_equal(back.primes, table_small.primes)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(back.ratios, table_small.ratios)
-        )
-        assert np.array_equal(back.overlaps, table_small.overlaps)
+        assert back.tail_exponent_bound == table_small.tail_exponent_bound
+        for name in ("primes", "offsets", "lambda0", "overlaps", "kept_ratios",
+                     "trunc_orders", "tail_bounds"):
+            a, b = getattr(back, name), getattr(table_small, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert back.envelope() == table_small.envelope()
+        assert os.listdir(tmp_path) == ["table.lsp"]  # no temporary file left
 
     def test_build_uses_cache(self, tmp_path):
         t1 = build_table(P25, 500, cache_dir=tmp_path)
@@ -224,10 +344,55 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         assert load_table(path) is None
 
+    @pytest.mark.parametrize("size", [0, 20, 56, 2000, -1])
+    def test_short_file_returns_none(self, size, table_bytes, tmp_path):
+        path = tmp_path / "table.lsp"
+        path.write_bytes(table_bytes[:size])
+        assert load_table(path) is None
+
+    def test_other_version_returns_none(self, table_bytes, tmp_path):
+        path = tmp_path / "table.lsp"
+        path.write_bytes(table_bytes[:4] + b"\x01\x00\x00\x00" + table_bytes[8:])
+        assert load_table(path) is None
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_corrupt_byte_returns_none(self, data, table_bytes, tmp_path_factory):
+        raw = bytearray(table_bytes)
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        raw[pos] ^= data.draw(st.integers(1, 255))
+        path = tmp_path_factory.getbasetemp() / "fuzz.lsp"
+        path.write_bytes(bytes(raw))
+        assert load_table(path) is None
+
+    def test_corrupt_cache_is_rebuilt(self, tmp_path):
+        fresh = build_table(P25, 500, target_floor=1e-8, cache_dir=tmp_path)
+        path = _cache_file(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.truncate(2000)
+        back = build_table(P25, 500, target_floor=1e-8, cache_dir=tmp_path)
+        assert np.array_equal(back.kept_ratios, fresh.kept_ratios)
+        assert load_table(path) is not None  # rewritten whole
+
+    def test_mismatched_header_is_a_miss(self, tmp_path):
+        # a valid file under the name of another request must not answer it
+        save_table(build_table(P25, 500, target_floor=1e-8), _cache_file(tmp_path, p_max=600))
+        table = build_table(P25, 600, target_floor=1e-8, cache_dir=tmp_path)
+        assert table.p_max == 600 and table.primes[-1] == 599
+        assert load_table(_cache_file(tmp_path, p_max=600)).p_max == 600
+
+    def test_floor_keyed_exactly(self, tmp_path):
+        assert _cache_file(tmp_path, floor=1e-8) != _cache_file(tmp_path, floor=1.0000001e-8)
+        build_table(P25, 200, target_floor=1e-8, cache_dir=tmp_path)
+        table = build_table(P25, 200, target_floor=1.0000001e-8, cache_dir=tmp_path)
+        assert table.floor == 1.0000001e-8
+        assert len(os.listdir(tmp_path)) == 2
+
 
 class TestThreads:
     def test_threaded_build_is_deterministic(self):
         a = build_table(P25, 3000, threads=1)
         b = build_table(P25, 3000, threads=4)
         assert a.base_product == b.base_product
-        assert all(np.array_equal(x, y) for x, y in zip(a.ratios, b.ratios))
+        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.kept_ratios, b.kept_ratios)
