@@ -53,14 +53,14 @@ from .local import (
     TopEigenvalueCertificate,
     a_norm_squared,
     best_envelope,
+    block_eigenvalues,
     build_local_matrix,
     corner_quadratic_form,
     hs_bound_squared,
-    jacobi_eigh,
-    jacobi_eigh_batch,
     local_spectrum,
     sandwich_envelope,
     top_eig_certificate,
+    top_eigenvector_overlap,
     truncation_order,
     truncation_tail_bound,
 )

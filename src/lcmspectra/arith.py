@@ -45,8 +45,9 @@ class SpectralParams:
 
     @property
     def bounded(self) -> bool:
-        """rho > 0 and tau + rho > 1: the infinite matrix is a bounded operator."""
-        return self.rho > 0.0 and self.tau + self.rho > 1.0
+        """Finite rho > 0 and tau + rho > 1: the infinite matrix is a bounded
+        operator.  rho is finite exactly when sigma and tau both are."""
+        return 0.0 < self.rho < math.inf and self.tau + self.rho > 1.0
 
     @property
     def positive_definite_regime(self) -> bool:
@@ -57,7 +58,7 @@ class SpectralParams:
         if not self.positive_definite_regime:
             raise InvalidRegime(
                 f"(sigma={self.sigma}, tau={self.tau}) violates "
-                "rho > 0, tau + rho > 1, tau > 0"
+                "finite rho > 0, tau + rho > 1, tau > 0"
             )
 
 

@@ -5,8 +5,11 @@ and the artifact version (JSON documents carry it as a leading "_comment"
 field since JSON has no comment syntax).  Floats are printed with 17
 significant digits so reruns with identical flags are byte-identical.
 
-Exit codes: 0 success, 2 invalid parameters, 3 certificate or coverage
-unavailable, 4 numerical failure.
+Exit codes: 0 success; 2 invalid parameters (non-finite numbers and
+values whose powers overflow double precision included) or an output
+file or cache directory that cannot be used; 3 certificate or coverage
+unavailable; 4 numerical failure.  Every failure prints one "error:"
+line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -113,7 +116,6 @@ def _table(args, p_max: int):
         SpectralParams(args.sigma, args.tau),
         p_max,
         target_floor=args.floor,
-        threads=args.threads,
         cache_dir=_cache_dir(),
     )
 
@@ -180,12 +182,7 @@ def cmd_kappa(args) -> None:
     params = SpectralParams(args.sigma, args.tau)
     table = _table(args, args.pmax)
     comp = kappa_numeric(
-        params,
-        p_max=args.pmax,
-        target_floor=args.floor,
-        threads=args.threads,
-        extrapolate=None if not args.no_extrapolate else False,
-        table=table,
+        params, extrapolate=False if args.no_extrapolate else None, table=table
     )
     try:
         closed = kappa_closed_form(params)
@@ -337,7 +334,6 @@ def _add_common(sp, sigma=True, tau=True):
     sp.add_argument("--out", default=None, help="output path ('-' or omit for stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--floor", type=float, default=1e-14)
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,8 +424,11 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (InvalidRegime, NoClosedForm, ValueError) as exc:
+    except (InvalidRegime, NoClosedForm, ValueError, OverflowError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: file access failed: {exc}", file=sys.stderr)
         return 2
     except (
         CertificateUnavailable,

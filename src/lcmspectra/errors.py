@@ -26,7 +26,7 @@ class CertificateUnavailable(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """Jacobi sweeps failed to converge, or produced an inconsistent spectrum."""
+    """dqd sweeps failed to converge, or produced an inconsistent spectrum."""
 
 
 class PrimeOutOfRange(LookupError):

@@ -85,7 +85,6 @@ def kappa_numeric(
     params: SpectralParams,
     p_max: int = DEFAULT_P_MAX,
     target_floor: float = DEFAULT_FLOOR,
-    threads: int = 1,
     extrapolate: bool | None = None,
     table: GlobalSpectrumTable | None = None,
 ) -> KappaComputation:
@@ -104,7 +103,7 @@ def kappa_numeric(
     if extrapolate is None:
         extrapolate = params.rho < 1.0
     if table is None:
-        table = build_table(params, p_max, target_floor, threads)
+        table = build_table(params, p_max, target_floor)
     p_max = table.p_max
     primes = table.primes
 

@@ -3,7 +3,7 @@
 The block at base p has entries p^(sigma (j+k) - tau max(j,k)) for
 j, k >= 0.  The base may be any real p > 1; integer primality plays no
 role in the linear algebra, and prime-indexed callers simply restrict to
-primes.  All returned values are immutable and shareable across threads.
+primes.  All returned values are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ __all__ = [
     "LocalSpectrum",
     "SandwichEnvelope",
     "TopEigenvalueCertificate",
-    "jacobi_eigh",
-    "jacobi_eigh_batch",
     "build_local_matrix",
     "truncation_order",
     "truncation_tail_bound",
+    "block_eigenvalues",
+    "top_eigenvector_overlap",
     "local_spectrum",
     "sandwich_envelope",
     "best_envelope",
@@ -34,103 +34,10 @@ __all__ = [
     "top_eig_certificate",
 ]
 
-JACOBI_REL_OFF = 1e-14
 DEFAULT_FLOOR = 1e-14
-
-
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-def _offdiag_sq(A: np.ndarray) -> np.ndarray:
-    # summed directly off the diagonal: subtracting the diagonal mass from
-    # the total squares would drown the result in cancellation noise
-    off = A.copy()
-    idx = np.arange(A.shape[1])
-    off[:, idx, idx] = 0.0
-    return np.einsum("bij,bij->b", off, off)
-
-
-def _rotate(A: np.ndarray, row0: np.ndarray, p: int, q: int) -> None:
-    apq = A[:, p, q].copy()
-    if not np.any(apq != 0.0):
-        return
-    app = A[:, p, p].copy()
-    aqq = A[:, q, q].copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = (aqq - app) / (2.0 * apq)
-        sgn = np.where(tau >= 0.0, 1.0, -1.0)
-        t = sgn / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    # apq == 0 gives tau = nan; huge tau gives t -> 0 through the inf denominator
-    t = np.where(np.isfinite(t), t, 0.0)
-    t = np.where(apq == 0.0, 0.0, t)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    cN, sN = c[:, None], s[:, None]
-
-    rp, rq = A[:, p, :].copy(), A[:, q, :].copy()
-    A[:, p, :] = cN * rp - sN * rq
-    A[:, q, :] = sN * rp + cN * rq
-    cp, cq = A[:, :, p].copy(), A[:, :, q].copy()
-    A[:, :, p] = cN * cp - sN * cq
-    A[:, :, q] = sN * cp + cN * cq
-    # closed-form diagonal update and exact annihilation keep symmetry clean
-    A[:, p, p] = app - t * apq
-    A[:, q, q] = aqq + t * apq
-    A[:, p, q] = 0.0
-    A[:, q, p] = 0.0
-
-    r0p, r0q = row0[:, p].copy(), row0[:, q].copy()
-    row0[:, p] = c * r0p - s * r0q
-    row0[:, q] = s * r0p + c * r0q
-
-
-def jacobi_eigh_batch(
-    mats: np.ndarray,
-    rel_off: float = JACOBI_REL_OFF,
-    max_sweeps: int = 60,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalisation of a stack of symmetric matrices.
-
-    Rotates every (p, q) pair per sweep and stops once each matrix has
-    off-diagonal Frobenius norm below rel_off times its trace.  Returns
-    (eigenvalues, overlaps): eigenvalues of shape (B, K) in descending
-    order per matrix, and the matching |first components| of the
-    eigenvectors.
-
-    Jacobi retains high relative accuracy on graded positive definite
-    matrices, which is exactly the shape of the prime-local blocks.
-    """
-    A = np.array(mats, dtype=np.float64, copy=True)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ValueError("expected a (B, K, K) stack of square matrices")
-    B, K, _ = A.shape
-    row0 = np.zeros((B, K))
-    row0[:, 0] = 1.0
-    if K > 1:
-        threshold = rel_off * np.abs(np.trace(A, axis1=1, axis2=2))
-        for _ in range(max_sweeps + 1):
-            off = np.sqrt(np.maximum(_offdiag_sq(A), 0.0))
-            if np.all(off <= threshold):
-                break
-            for p in range(K - 1):
-                for q in range(p + 1, K):
-                    _rotate(A, row0, p, q)
-        else:
-            raise EigensolverError(
-                f"Jacobi failed to converge within {max_sweeps} sweeps"
-            )
-    eig = np.diagonal(A, axis1=1, axis2=2).copy()
-    order = np.argsort(-eig, axis=1, kind="stable")
-    eig = np.take_along_axis(eig, order, axis=1)
-    ovl = np.abs(np.take_along_axis(row0, order, axis=1))
-    return eig, ovl
-
-
-def jacobi_eigh(mat: np.ndarray, **kw) -> tuple[np.ndarray, np.ndarray]:
-    """Single-matrix wrapper around jacobi_eigh_batch."""
-    eig, ovl = jacobi_eigh_batch(np.asarray(mat, dtype=float)[None, :, :], **kw)
-    return eig[0], ovl[0]
+# dqd stops once every squared off-diagonal is below this share of the
+# squared diagonal after it
+_DQD_TOL = 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +95,68 @@ def truncation_tail_bound(p, params: SpectralParams, K) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
+    """Eigenvalues of the K x K blocks at the bases p, descending per block.
+
+    The corner identity writes the block as E_K = B^T B with
+    B^(-1) = D^(-1) C^(-1) W^(-1/2) lower bidiagonal in closed form: C is
+    the cumulative-sum matrix, W = diag(x^j (1 - x)) with last weight
+    x^(K-1), x = p^(-tau), and D = diag(p^(sigma j)).  So
+    lambda_k(E_K) = 1 / s_k(B^(-1))^2, and zero-shift dqd (Fernando and
+    Parlett, 1994) finds those singular values to high relative accuracy
+    with positive arithmetic only.  It runs on the squared entries,
+    batched over p, of the reversed factor J B^(-T) J (same singular
+    values), whose diagonal already falls, so the sweeps polish the order
+    rather than build it.  Vectorises over p: an array of bases gives
+    shape p.shape + (K,).
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 1.0):
+        raise ValueError("base p must exceed 1")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    logp = np.log(p).reshape(-1, 1)
+    j = np.arange(K, dtype=float)
+    one_minus_x = -np.expm1(-params.tau * logp)
+    # squared diagonal q_j and subdiagonal e_j (j >= 1) of B^(-1)
+    with np.errstate(over="ignore"):
+        q = np.exp(params.rho * j * logp) / one_minus_x
+        q[:, -1] = np.exp(params.rho * (K - 1) * logp[:, 0])
+        e = np.exp((params.rho * j[1:] - params.tau) * logp) / one_minus_x
+    if not np.all(np.isfinite(q)):
+        raise OverflowError(
+            f"p^(rho (K-1)) overflows double precision at K={K}, rho={params.rho}"
+        )
+    q, e = q[:, ::-1].copy(), e[:, ::-1].copy()
+    # each sweep shrinks the off-diagonal by about p^(-rho), so the sweeps
+    # stay below K + log(tol) / log(p^(-rho)) (about K at the truncation
+    # order); allow twice that
+    max_sweeps = 2 * (K + math.ceil(math.log(_DQD_TOL) / (-params.rho * logp.min())))
+    for _ in range(max_sweeps):
+        if np.all(e <= _DQD_TOL * q[:, 1:]):
+            break
+        d = q[:, 0].copy()
+        for i in range(K - 1):
+            q[:, i] = d + e[:, i]
+            t = q[:, i + 1] / q[:, i]
+            e[:, i] *= t
+            d *= t
+        q[:, -1] = d
+    else:
+        raise EigensolverError(
+            f"dqd failed to converge within {max_sweeps} sweeps at K={K}"
+        )
+    # the stopping test bounds the off-diagonal, not the order of the
+    # diagonal, so sort rather than reverse
+    return np.sort(1.0 / q, axis=1)[:, ::-1].reshape(p.shape + (K,))
+
+
+def top_eigenvector_overlap(p: float, params: SpectralParams, K: int) -> float:
+    """|first component| of the top eigenvector of the K x K block at p."""
+    _, vecs = np.linalg.eigh(build_local_matrix(p, params, K))
+    return float(abs(vecs[0, -1]))
+
+
 @dataclass(frozen=True)
 class LocalSpectrum:
     """Truncated eigendecomposition of one prime-local block.
@@ -211,22 +180,21 @@ def local_spectrum(
 ) -> LocalSpectrum:
     """Eigenvalues of the block at base p above target_floor, descending.
 
-    Chooses the truncation order from the floor, runs cyclic Jacobi, and
-    discards eigenvalues at or below the floor as numerically
+    Chooses the truncation order from the floor, runs the bidiagonal dqd
+    solver, and discards eigenvalues at or below the floor as numerically
     untrustworthy.
     """
-    if params.rho <= 0.0 or params.tau <= 0.0:
+    if not (0.0 < params.rho < math.inf and params.tau > 0.0):
         raise InvalidRegime(
-            f"local spectra need rho > 0 and tau > 0, got rho={params.rho}, tau={params.tau}"
+            f"local spectra need finite rho > 0 and tau > 0, got rho={params.rho}, tau={params.tau}"
         )
     if not (0.0 < target_floor < 1.0):
         raise ValueError("target_floor must lie in (0, 1)")
-    if p <= 1.0:
-        raise ValueError("base p must exceed 1")
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"base p must be finite and exceed 1, got {p}")
     K = truncation_order(p, params, target_floor)
-    eig, ovl = jacobi_eigh(build_local_matrix(p, params, K))
-    keep = eig > target_floor
-    kept = eig[keep]
+    eig = block_eigenvalues(p, params, K)
+    kept = eig[eig > target_floor]
     if kept.size == 0 or kept[0] < 1.0 - 1e-10:
         raise EigensolverError(
             f"top eigenvalue {eig[0]!r} below 1 contradicts the Rayleigh quotient at e_0"
@@ -236,7 +204,7 @@ def local_spectrum(
         params=params,
         truncation_order=K,
         eigenvalues=kept,
-        top_overlap=float(ovl[0]),
+        top_overlap=top_eigenvector_overlap(p, params, K),
         tail_bound=float(truncation_tail_bound(p, params, K)),
         floor=float(target_floor),
     )

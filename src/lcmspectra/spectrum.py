@@ -16,7 +16,6 @@ import os
 import struct
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +38,11 @@ from .errors import (
 )
 from .local import (
     DEFAULT_FLOOR,
-    best_envelope,
-    build_local_matrix,
-    hs_bound_squared,
-    jacobi_eigh_batch,
     LocalSpectrum,
+    best_envelope,
+    block_eigenvalues,
+    hs_bound_squared,
+    top_eigenvector_overlap,
     truncation_order,
     truncation_tail_bound,
 )
@@ -66,9 +65,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# conservative allowance for Jacobi off-diagonal residue (1e-14 * trace <= 4)
+# absolute allowance for the solver error on every stored eigenvalue: dqd
+# is accurate to a few 1e-15 relative, and the mpmath oracle tests hold it
+# to a tenth of this margin
 _SOLVER_MARGIN = 1e-13
-_BLOCK_ELEMS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,11 @@ class GlobalSpectrumTable:
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
     length and owner[j] the row of kept_ratios[j].  Every array is
-    read-only and nothing is cached after construction, so queries are
-    safe from multiple threads.
+    read-only and nothing is cached after construction, so queries may run
+    concurrently.
     """
 
-    def __init__(
-        self, params, p_max, floor, primes, lambda0, offsets, kept_ratios, overlaps
-    ):
+    def __init__(self, params, p_max, floor, primes, lambda0, offsets, kept_ratios):
         self.params = params
         self.p_max = int(p_max)
         self.floor = float(floor)
@@ -148,14 +146,13 @@ class GlobalSpectrumTable:
         self.lambda0 = lambda0
         self.offsets = offsets
         self.kept_ratios = kept_ratios
-        self.overlaps = overlaps
         self.trunc_orders = truncation_order(primes, params, self.floor)
         self.tail_bounds = truncation_tail_bound(
             primes.astype(float), params, self.trunc_orders.astype(float)
         )
         self.lengths = np.diff(offsets)
         self.owner = np.repeat(np.arange(len(primes)), self.lengths)
-        for a in (primes, lambda0, offsets, kept_ratios, overlaps, self.trunc_orders,
+        for a in (primes, lambda0, offsets, kept_ratios, self.trunc_orders,
                   self.tail_bounds, self.lengths, self.owner):
             a.setflags(write=False)
         self.base_product = math.exp(math.fsum(np.log(self.lambda0)))
@@ -179,15 +176,17 @@ class GlobalSpectrumTable:
         return self.kept_ratios[self.offsets[i] : self.offsets[i + 1]]
 
     def local(self, p: int) -> LocalSpectrum:
-        """Reassemble the stored LocalSpectrum for one prime."""
+        """Reassemble the stored LocalSpectrum for one prime; the top
+        eigenvector overlap, which the table does not store, is recomputed."""
         i = self.index_of(p)
+        K = int(self.trunc_orders[i])
         eig = np.concatenate([[1.0], self.ratios_at(i)]) * self.lambda0[i]
         return LocalSpectrum(
             p=float(p),
             params=self.params,
-            truncation_order=int(self.trunc_orders[i]),
+            truncation_order=K,
             eigenvalues=eig,
-            top_overlap=float(self.overlaps[i]),
+            top_overlap=top_eigenvector_overlap(p, self.params, K),
             tail_bound=float(self.tail_bounds[i]),
             floor=self.floor,
         )
@@ -201,18 +200,19 @@ def build_table(
     params: SpectralParams,
     p_max: int,
     target_floor: float = DEFAULT_FLOOR,
-    threads: int = 1,
     cache_dir: str | os.PathLike | None = None,
 ) -> GlobalSpectrumTable:
-    """Diagonalise every prime-local block with p <= p_max.
+    """Solve every prime-local block with p <= p_max.
 
     Blocks share a truncation order K in long runs of consecutive primes,
-    so the Jacobi sweeps run batched per K group (split across threads
-    when requested).  cache_dir, when given, persists the table in the
-    binary format of save_table and reuses it on rebuild; a cache file
-    that is corrupt or answers another request is rebuilt.
+    so the dqd sweeps run batched per K group.  cache_dir, when given,
+    persists the table in the binary format of save_table and reuses it on
+    rebuild; a cache file that is corrupt or answers another request is
+    rebuilt.
     """
     params.require_regime()
+    if not (0.0 < target_floor < 1.0):
+        raise ValueError("target_floor must lie in (0, 1)")
     p_max = int(p_max)
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
@@ -228,29 +228,13 @@ def build_table(
 
     primes = primes_up_to(p_max)
     orders = truncation_order(primes, params, target_floor)
-    # one group per run of equal K (K falls with p), chunked; ascending p
+    # one group per run of equal K (K falls with p), in ascending p
     bounds = np.append(np.flatnonzero(np.diff(orders, prepend=0)), len(primes)).tolist()
-    jobs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        K = int(orders[lo])
-        chunk = max(1, _BLOCK_ELEMS // (K * K))
-        jobs += [(start, min(start + chunk, hi), K) for start in range(lo, hi, chunk)]
-
-    def solve(job):
-        lo, hi, K = job
-        return jacobi_eigh_batch(build_local_matrix(primes[lo:hi], params, K))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, jobs))
-    else:
-        results = [solve(j) for j in jobs]
-
     lambda0 = np.empty(len(primes))
-    overlaps = np.empty(len(primes))
     lengths = np.empty(len(primes), dtype=np.int64)
     parts = []
-    for (lo, hi, _), (eig, ovl) in zip(jobs, results):
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        eig = block_eigenvalues(primes[lo:hi], params, int(orders[lo]))
         # rows descend, so the kept eigenvalues of a row are a prefix
         kept = eig > target_floor
         bad = ~kept[:, 0] | (eig[:, 0] < 1.0 - 1e-10)
@@ -258,12 +242,11 @@ def build_table(
             p = int(primes[lo + int(np.argmax(bad))])
             raise EigensolverError(f"inconsistent local spectrum at p={p}")
         lambda0[lo:hi] = eig[:, 0]
-        overlaps[lo:hi] = ovl[:, 0]
         lengths[lo:hi] = kept.sum(axis=1) - 1
         parts.append((eig[:, 1:] / eig[:, :1])[kept[:, 1:]])
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     table = GlobalSpectrumTable(
-        params, p_max, target_floor, primes, lambda0, offsets, np.concatenate(parts), overlaps
+        params, p_max, target_floor, primes, lambda0, offsets, np.concatenate(parts)
     )
     if cache_path:
         save_table(table, cache_path)
@@ -274,7 +257,6 @@ def base_product(
     params: SpectralParams,
     p_max: int,
     target_floor: float = DEFAULT_FLOOR,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """(Lambda_0, t_bound): product of top local eigenvalues over p <= p_max
     and a certified bound on the log of the remaining infinite tail, so the
@@ -283,7 +265,7 @@ def base_product(
     In weakly decaying regimes a small p_max may admit no certificate at
     all; t_bound is then inf and only tail-certified queries are blocked.
     """
-    table = build_table(params, p_max, target_floor, threads)
+    table = build_table(params, p_max, target_floor)
     return table.base_product, table.tail_exponent_bound
 
 
@@ -459,7 +441,7 @@ def finite_section_eigs(params: SpectralParams, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LSPC"
-_VERSION = 2
+_VERSION = 3
 # magic, version, sigma, tau, floor, p_max, number P of primes, number R of ratios
 _HEADER = struct.Struct("<4sI3d3Q")
 _CRC = struct.Struct("<I")
@@ -471,8 +453,8 @@ def _cache_path(cache_dir, params, p_max, floor):
 
 
 def save_table(table: GlobalSpectrumTable, path) -> None:
-    """Write the header, then primes and offsets as int64, then lambda0,
-    overlaps and the kept ratios as float64, then a CRC-32 of all of it.
+    """Write the header, then primes and offsets as int64, then lambda0 and
+    the kept ratios as float64, then a CRC-32 of all of it.
 
     The ratios are stored as such, so a round trip is bit-exact.  The file
     is written under a temporary name in the same directory and moved into
@@ -481,7 +463,7 @@ def save_table(table: GlobalSpectrumTable, path) -> None:
     P, R = len(table.primes), table.kept_ratios.size
     sigma, tau = table.params.sigma, table.params.tau
     ints = np.concatenate((table.primes, table.offsets)).astype("<i8")
-    floats = np.concatenate((table.lambda0, table.overlaps, table.kept_ratios)).astype("<f8")
+    floats = np.concatenate((table.lambda0, table.kept_ratios)).astype("<f8")
     body = _HEADER.pack(_MAGIC, _VERSION, sigma, tau, table.floor, table.p_max, P, R)
     body += ints.tobytes() + floats.tobytes()
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.fspath(path)) or ".")
@@ -502,14 +484,13 @@ def load_table(path) -> GlobalSpectrumTable | None:
     if len(raw) < _HEADER.size + _CRC.size:
         return None
     magic, version, sigma, tau, floor, p_max, P, R = _HEADER.unpack_from(raw)
-    size = _HEADER.size + 8 * (4 * P + 1 + R)
+    size = _HEADER.size + 8 * (3 * P + 1 + R)
     if (magic, version, len(raw)) != (_MAGIC, _VERSION, size + _CRC.size) or (
         _CRC.unpack_from(raw, size)[0] != zlib.crc32(raw[:size])
     ):
         return None
     ints = np.frombuffer(raw, "<i8", count=2 * P + 1, offset=_HEADER.size)
-    floats = np.frombuffer(raw, "<f8", count=2 * P + R, offset=_HEADER.size + 8 * ints.size)
+    floats = np.frombuffer(raw, "<f8", count=P + R, offset=_HEADER.size + 8 * ints.size)
     return GlobalSpectrumTable(
-        SpectralParams(sigma, tau), p_max, floor, ints[:P], floats[:P], ints[P:],
-        floats[2 * P:], floats[P : 2 * P],
+        SpectralParams(sigma, tau), p_max, floor, ints[:P], floats[:P], ints[P:], floats[P:]
     )

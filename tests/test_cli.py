@@ -191,6 +191,33 @@ class TestExitCodes:
         assert "certificate" in err
 
 
+LOCAL = ["local-eigs", "--sigma", "0.25", "--tau", "1.5"]
+BAD_INPUTS = {
+    "p-nan": LOCAL + ["--p", "nan"],
+    "p-inf": LOCAL + ["--p", "inf"],
+    "sigma-nan": ["local-eigs", "--sigma", "nan", "--tau", "1.5", "--p", "3"],
+    "p-overflow": LOCAL + ["--p", "1e300"],
+    "out-dir-missing": LOCAL + ["--p", "3", "--out", "{tmp}/missing/x.csv"],
+    "cache-dir-is-file": ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "10",
+                          "--pmax", "100"],
+    "table-floor-nan": ["kappa", "--sigma", "0.25", "--tau", "1.5", "--pmax", "100",
+                        "--floor", "nan"],
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_exit_two_with_one_error_line(self, case, capsys, tmp_path, monkeypatch):
+        if case == "cache-dir-is-file":
+            (tmp_path / "cache").write_text("")
+            monkeypatch.setenv("LCM_SPECTRA_CACHE_DIR", str(tmp_path / "cache"))
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[case]]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestCache:
     def test_cache_roundtrip_keeps_output(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

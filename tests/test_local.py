@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +12,19 @@ from lcmspectra import (
     SpectralParams,
     a_norm_squared,
     best_envelope,
+    block_eigenvalues,
     build_local_matrix,
     corner_quadratic_form,
     hs_bound_squared,
-    jacobi_eigh,
-    jacobi_eigh_batch,
     local_spectrum,
     primes_up_to,
     sandwich_envelope,
     top_eig_certificate,
+    top_eigenvector_overlap,
     truncation_order,
 )
+from lcmspectra.local import DEFAULT_FLOOR
+from lcmspectra.spectrum import _SOLVER_MARGIN
 
 P25 = SpectralParams(0.25, 1.5)
 
@@ -67,28 +70,79 @@ class TestBuildMatrix:
             assert Ks[0] == math.ceil(math.log(1e-15) / (-params.rho * math.log(2))) + 2
 
 
-class TestJacobi:
-    def test_matches_lapack_on_random_psd(self):
-        rng = np.random.RandomState(7)
-        for K in (1, 2, 3, 8, 20, 60):
-            A = rng.standard_normal((3, K, K))
-            A = np.einsum("bij,bkj->bik", A, A) + 0.05 * np.eye(K)
-            eig, _ = jacobi_eigh_batch(A)
-            ref = np.linalg.eigvalsh(A)[:, ::-1]
-            assert np.max(np.abs(eig - ref)) < 1e-11 * max(1.0, ref.max())
+# (p, params) blocks checked against 30-digit mpmath: the largest block of a
+# rho = 1/2 table (K = 102), two rho = 1 blocks, and two regimes where the
+# LAPACK drivers lose relative accuracy on the small eigenvalues
+ORACLE_CASES = [
+    (2, SpectralParams(0.25, 1.0)),
+    (3, P25),
+    (101, P25),
+    (3, SpectralParams(0.0, 0.5)),
+    (3, SpectralParams(-0.45, 0.1)),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=ORACLE_CASES,
+    ids=[f"p{p}-s{pr.sigma}-t{pr.tau}" for p, pr in ORACLE_CASES],
+)
+def mp_block(request):
+    """(p, params, K, eigenvalues descending, top overlap) from mpmath.eigsy."""
+    p, params = request.param
+    K = truncation_order(p, params, DEFAULT_FLOOR)
+    with mpmath.workdps(30):
+        s, t, base = mpmath.mpf(params.sigma), mpmath.mpf(params.tau), mpmath.mpf(p)
+        A = mpmath.matrix(
+            [[base ** (s * (j + k) - t * max(j, k)) for k in range(K)] for j in range(K)]
+        )
+        E, Q = mpmath.eigsy(A)
+        order = sorted(range(K), key=lambda i: -E[i])
+        eig = np.array([float(E[i]) for i in order])
+        overlap = float(abs(Q[0, order[0]]))
+    return p, params, K, eig, overlap
+
+
+class TestBlockSolver:
+    def test_matches_mpmath(self, mp_block):
+        p, params, K, ref, _ = mp_block
+        got = block_eigenvalues(p, params, K)
+        kept = ref > DEFAULT_FLOOR
+        assert np.array_equal(got > DEFAULT_FLOOR, kept)
+        err = np.abs(got[kept] - ref[kept])
+        assert np.max(err / ref[kept]) < 1e-13
+        assert np.max(err) < _SOLVER_MARGIN / 10
+
+    def test_top_overlap_matches_mpmath(self, mp_block):
+        p, params, K, _, overlap = mp_block
+        assert abs(top_eigenvector_overlap(p, params, K) - overlap) < 1e-13
 
     def test_matches_lapack_on_local_blocks(self):
         for p in (2, 3, 17, 101):
-            A = build_local_matrix(p, P25, truncation_order(p, P25, 1e-14))
-            eig, _ = jacobi_eigh(A)
-            ref = np.linalg.eigvalsh(A)[::-1]
+            K = truncation_order(p, P25, 1e-14)
+            eig = block_eigenvalues(p, P25, K)
+            ref = np.linalg.eigvalsh(build_local_matrix(p, P25, K))[::-1]
             assert np.max(np.abs(eig - ref)) < 1e-12
 
     def test_overlap_is_first_eigvector_component(self):
-        A = build_local_matrix(5, P25, 12)
-        eig, ovl = jacobi_eigh(A)
-        w, v = np.linalg.eigh(A)
-        assert ovl[0] == pytest.approx(abs(v[0, -1]), abs=1e-10)
+        w, v = np.linalg.eigh(build_local_matrix(5, P25, 12))
+        assert top_eigenvector_overlap(5, P25, 12) == abs(v[0, -1])
+
+    def test_batch_matches_single_blocks(self):
+        ps = np.array([[2.0, 3.0], [7.0, 1999.0]])
+        stack = block_eigenvalues(ps, P25, 9)
+        assert stack.shape == (2, 2, 9)
+        for p, eig in zip(ps.ravel(), stack.reshape(4, 9)):
+            np.testing.assert_allclose(eig, block_eigenvalues(p, P25, 9), rtol=1e-14, atol=0)
+
+    def test_small_orders(self):
+        assert block_eigenvalues(5, P25, 1).tolist() == [1.0]
+        ref = np.linalg.eigvalsh(build_local_matrix(5, P25, 2))[::-1]
+        np.testing.assert_allclose(block_eigenvalues(5, P25, 2), ref, rtol=1e-14)
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            block_eigenvalues(1e300, P25, 3)
 
 
 class TestLocalSpectrum:
@@ -128,11 +182,21 @@ class TestLocalSpectrum:
         floor = 1e-14
         for p in (2, 7):
             K = truncation_order(p, P25, floor)
-            e1, _ = jacobi_eigh(build_local_matrix(p, P25, K))
-            e2, _ = jacobi_eigh(build_local_matrix(p, P25, K + 5))
+            e1 = block_eigenvalues(p, P25, K)
+            e2 = block_eigenvalues(p, P25, K + 5)
             kept1 = e1[e1 > floor]
             kept2 = e2[e2 > floor][: kept1.size]
             assert np.max(np.abs(kept1 - kept2)) < 1e-10
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0])
+    def test_rejects_non_finite_or_small_base(self, p):
+        with pytest.raises(ValueError):
+            local_spectrum(p, P25)
+
+    @pytest.mark.parametrize("sigma, tau", [(math.nan, 1.5), (0.25, math.nan), (0.25, math.inf)])
+    def test_rejects_non_finite_exponents(self, sigma, tau):
+        with pytest.raises(InvalidRegime):
+            local_spectrum(2, SpectralParams(sigma, tau))
 
     def test_real_base_accepted(self):
         spectrum = local_spectrum(2.71828, P25)

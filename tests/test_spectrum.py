@@ -1,5 +1,7 @@
 import math
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from lcmspectra import (
 )
 from lcmspectra.kappa import g_p_at, kappa_numeric
 from lcmspectra.local import local_spectrum
-from lcmspectra.spectrum import _cache_path, _lambda_values
+from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values
 
 P25 = SpectralParams(0.25, 1.5)
 
@@ -325,8 +327,8 @@ class TestPersistence:
         assert back.floor == table_small.floor
         assert back.base_product == table_small.base_product
         assert back.tail_exponent_bound == table_small.tail_exponent_bound
-        for name in ("primes", "offsets", "lambda0", "overlaps", "kept_ratios",
-                     "trunc_orders", "tail_bounds"):
+        for name in ("primes", "offsets", "lambda0", "kept_ratios", "trunc_orders",
+                     "tail_bounds"):
             a, b = getattr(back, name), getattr(table_small, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert back.envelope() == table_small.envelope()
@@ -374,6 +376,21 @@ class TestPersistence:
         assert np.array_equal(back.kept_ratios, fresh.kept_ratios)
         assert load_table(path) is not None  # rewritten whole
 
+    def test_version_2_file_is_rebuilt(self, tmp_path):
+        fresh = build_table(P25, 500, target_floor=1e-8)
+        P, R = len(fresh.primes), fresh.kept_ratios.size
+        # version 2 stored a per-prime overlap column between lambda0 and the ratios
+        body = _HEADER.pack(b"LSPC", 2, P25.sigma, P25.tau, 1e-8, 500, P, R)
+        body += np.concatenate((fresh.primes, fresh.offsets)).astype("<i8").tobytes()
+        body += np.concatenate((fresh.lambda0, np.ones(P), fresh.kept_ratios)).astype("<f8").tobytes()
+        path = _cache_file(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(body + struct.pack("<I", zlib.crc32(body)))
+        assert load_table(path) is None
+        back = build_table(P25, 500, target_floor=1e-8, cache_dir=tmp_path)
+        assert np.array_equal(back.kept_ratios, fresh.kept_ratios)
+        assert load_table(path) is not None  # rewritten in the current format
+
     def test_mismatched_header_is_a_miss(self, tmp_path):
         # a valid file under the name of another request must not answer it
         save_table(build_table(P25, 500, target_floor=1e-8), _cache_file(tmp_path, p_max=600))
@@ -388,11 +405,3 @@ class TestPersistence:
         assert table.floor == 1.0000001e-8
         assert len(os.listdir(tmp_path)) == 2
 
-
-class TestThreads:
-    def test_threaded_build_is_deterministic(self):
-        a = build_table(P25, 3000, threads=1)
-        b = build_table(P25, 3000, threads=4)
-        assert a.base_product == b.base_product
-        assert np.array_equal(a.offsets, b.offsets)
-        assert np.array_equal(a.kept_ratios, b.kept_ratios)
