@@ -4,12 +4,13 @@ The normalised second eigenvalues gamma_p = lambda_1(E_p)/lambda_0(E_p)
 define real generators r_p = gamma_p^(-1/rho), close to p itself.  The
 multiplicative semigroup they generate plays the role of the integers;
 its counting function grows linearly, and the empirical density c(x)
-stabilises at desk scale.
+stabilises at desk scale.  The semigroup is enumerated level by level
+(level k holds the products of k generators) in array code, then sorted
+once.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 
@@ -68,44 +69,80 @@ def beurling_integers(
 ) -> np.ndarray:
     """All semigroup elements <= x, ascending, starting from the empty product 1.
 
-    Min-heap enumeration with a per-generator cursor: each multiset of
-    generators is visited exactly once.  Distinct multisets whose products
-    agree within 1e-12 relative are merged into one element (real
-    generators in general position collide only by numerical accident);
-    merges are counted and logged.
+    Level k holds the products of k generators as values v and the index j
+    of each product's largest generator; level k + 1 multiplies each v by
+    every gens[j:] that keeps the product <= x.  So each multiset of
+    generators is visited exactly once, and its product is formed in
+    ascending generator order with one rounding per factor.  Distinct
+    multisets whose products agree within 1e-12 relative are merged into
+    one element (real generators in general position collide only by
+    numerical accident); merges are counted and logged.
+
+    max_count caps the number of generator multisets, the empty one
+    included, i.e. the products before merging; it is checked before each
+    level is allocated, so memory stays O(max_count).
     """
     if x < 1.0:
         return np.empty(0)
     gens = system.generators
-    G = gens.size
-    out = [1.0]
-    heap: list[tuple[float, int]] = []
-    if G and gens[0] <= x:
-        heapq.heappush(heap, (float(gens[0]), 0))
-    collisions = 0
-    while heap:
-        v, j = heapq.heappop(heap)
-        if v - out[-1] <= _MERGE_RTOL * v:
-            collisions += 1
-        else:
-            out.append(v)
-            if len(out) > max_count:
-                raise EnumerationCapExceeded(
-                    f"semigroup enumeration exceeded max_count={max_count} below x={x}",
-                    partial=max_count,
-                )
-        child = v * gens[j]
-        if child <= x:
-            heapq.heappush(heap, (child, j))
-        if j + 1 < G:
-            sibling = (v / gens[j]) * gens[j + 1]
-            if sibling <= x:
-                heapq.heappush(heap, (sibling, j + 1))
+    v, j = np.ones(1), np.zeros(1, dtype=np.int64)
+    levels = [v]
+    total = 1
+    while v.size:
+        hi = _admitted_end(gens, v, j, x)
+        counts = hi - j
+        total += int(counts.sum())
+        if total > max_count:
+            raise EnumerationCapExceeded(
+                f"semigroup enumeration exceeded max_count={max_count} below x={x}",
+                partial=max_count,
+            )
+        parent = np.repeat(np.arange(v.size), counts)
+        first = np.cumsum(counts) - counts
+        j = np.arange(parent.size) - first[parent] + j[parent]
+        v = v[parent] * gens[j]
+        keep = v <= x
+        if not keep.all():  # only a NaN x gets here
+            v, j = v[keep], j[keep]
+        levels.append(v)
+    values = np.sort(np.concatenate(levels))
+    # a value is dropped when within 1e-12 v of the last kept value; only
+    # the flagged neighbours can be dropped, so Python visits just those
+    drop = np.zeros(values.size, dtype=bool)
+    last = 0
+    for i in (np.flatnonzero(np.diff(values) <= _MERGE_RTOL * values[1:]) + 1).tolist():
+        if not drop[i - 1]:
+            last = i - 1
+        drop[i] = values[i] - values[last] <= _MERGE_RTOL * values[i]
+    collisions = int(drop.sum())
     if collisions:
         logger.warning(
             "merged %d numerically equal semigroup products below x=%g", collisions, x
         )
-    return np.asarray(out)
+        values = values[~drop]
+    return values
+
+
+def _admitted_end(gens, v, j, x) -> np.ndarray:
+    """Per parent, the end hi >= j of the generators gens[j:hi] with v * g <= x.
+
+    The rounded product v * g rises with g, so the admitted generators are
+    a prefix of gens[j:]; the quotient bound x / v can miss the end of that
+    prefix by a rounding, so it is moved until the product test agrees.
+    """
+    G = gens.size
+    hi = np.maximum(np.searchsorted(gens, x / v, side="right"), j)
+    up = np.flatnonzero(hi < G)
+    while up.size:
+        up = up[v[up] * gens[hi[up]] <= x]
+        hi[up] += 1
+        up = up[hi[up] < G]
+    down = np.flatnonzero(hi > j)
+    while down.size:
+        down = down[v[down] * gens[hi[down] - 1] > x]
+        hi[down] -= 1
+        down = down[hi[down] > j[down]]
+    return hi
 
 
 def count_integers(

@@ -73,11 +73,14 @@ _SOLVER_MARGIN = 1e-13
 
 @dataclass(frozen=True)
 class GlobalEigenvalue:
-    """One eigenvalue lambda_n, indexed by the factorisation of n."""
+    """One eigenvalue lambda_n; the factorisation of n is computed on demand."""
 
     n: int
-    factored: FactoredIndex
     value: float
+
+    @property
+    def factored(self) -> FactoredIndex:
+        return factorize(self.n)
 
 
 @dataclass(frozen=True)
@@ -273,9 +276,8 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     """lambda_n via the product formula: Lambda_0 times per-prime ratios."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    fi = factorize(int(n))
     value = table.base_product
-    for p, k in fi.factors:
+    for p, k in factorize(int(n)).factors:
         if p > table.p_max:
             raise PrimeOutOfRange(
                 f"prime factor {p} of n={n} exceeds table cutoff {table.p_max}"
@@ -284,7 +286,7 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
         if k > table.lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
         value *= table.kept_ratios[table.offsets[i] + k - 1]
-    return GlobalEigenvalue(int(n), fi, value)
+    return GlobalEigenvalue(int(n), value)
 
 
 def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
@@ -327,16 +329,15 @@ def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> list[GlobalEig
     """lambda_n for n = 1..n_max, sorted by value descending, ties by n.
 
     Needs p_max >= n_max so that every index factors inside the table.
+    The values come from the lambda sieve, which factors no index one by
+    one; each entry's `factored` is computed only when it is read.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     vals = _lambda_values(table, n_max)[1:]
     ns = np.arange(1, n_max + 1)
     order = np.lexsort((ns, -vals))
-    return [
-        GlobalEigenvalue(int(ns[i]), factorize(int(ns[i])), float(vals[i]))
-        for i in order
-    ]
+    return list(map(GlobalEigenvalue, ns[order].tolist(), vals[order].tolist()))
 
 
 def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:

@@ -57,6 +57,15 @@ class HadamardFactor:
     values: np.ndarray
 
 
+def _rescaling_rho(sigma: float) -> float:
+    """rho = 1 - 2 sigma of the Toeplitz rescaling; sigma must be finite and below 1/2."""
+    if not (math.isfinite(sigma) and sigma < 0.5):
+        raise InvalidRegime(
+            f"rescaling needs a finite sigma < 1/2 so that rho = 1-2*sigma > 0, got {sigma}"
+        )
+    return 1.0 - 2.0 * sigma
+
+
 def _toeplitz_csc(N: int, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, row indices, column pointers) of T_N in compressed-column form.
 
@@ -113,9 +122,7 @@ def rescaled_singular_values(N: int, sigma: float) -> np.ndarray:
     at larger N use top_rescaled_singular_value, which measures 5.8% at
     N = 2^17 and 3.6% at N = 2^19.
     """
-    if sigma >= 0.5:
-        raise InvalidRegime("rescaling needs sigma < 1/2 so that rho = 1-2*sigma > 0")
-    rho = 1.0 - 2.0 * sigma
+    rho = _rescaling_rho(sigma)
     w = np.linalg.eigvalsh(gram_via_formula(N, sigma).values)[::-1]
     return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
 
@@ -129,9 +136,7 @@ def top_rescaled_singular_value(N: int, sigma: float) -> float:
     takes seconds.  Agrees with rescaled_singular_values(N, sigma)[0] to
     rounding.
     """
-    if sigma >= 0.5:
-        raise InvalidRegime("rescaling needs sigma < 1/2 so that rho = 1-2*sigma > 0")
-    rho = 1.0 - 2.0 * sigma
+    rho = _rescaling_rho(sigma)
     pattern = _toeplitz_csc(N, sigma)
     # imported here so that `import lcmspectra` stays numpy-only
     from scipy.sparse import csc_matrix
@@ -152,11 +157,11 @@ def hadamard_factor(
     """Finite-N distortion [G_N]_{n,m} = [n,m]^rho F(N/[n,m]) / F(N) on M x M.
 
     Entrywise G_N -> 1 as N grows while staying uniformly bounded; entries
-    with [n, m] > N are 0.
+    with [n, m] > N are 0.  Needs a finite sigma < 1/2.
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
-    rho = 1.0 - 2.0 * sigma
+    rho = _rescaling_rho(sigma)
     if table is None:
         table = PowerSumTable(sigma, N)
     ell = lcm_grid(M)
@@ -184,7 +189,7 @@ def schatten_diff(N: int, M: int, q: int, sigma: float) -> float:
     q = int(q)
     if q < 2 or q % 2 != 0:
         raise InvalidRegime("Schatten exponent must be an even integer >= 2")
-    rho = 1.0 - 2.0 * sigma
+    rho = _rescaling_rho(sigma)
     if q * rho <= 1.0:
         raise InvalidRegime(f"needs q * rho > 1, got q={q}, rho={rho}")
     E = entry_matrix(SpectralParams(sigma, 1.0), M)

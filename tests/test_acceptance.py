@@ -261,19 +261,19 @@ class TestCriterion8Beurling:
                     seen.add(round(math.log(v) * 1e12))
             return len(seen)
 
-        heap_ok = True
+        enum_ok = True
         for gens in ((2.0, 3.0), (2.0, 3.0, 5.0), (1.7, 2.9, 4.3)):
             system = BeurlingSystem(np.array(gens), P25)
             for x in (100.0, 1e4):
-                heap_ok &= count_integers(system, x) == oracle(gens, x)
+                enum_ok &= count_integers(system, x) == oracle(gens, x)
 
         system = system_from_spectra(table_counting)
         c1 = count_integers(system, 1e4) / 1e4
         c4 = count_integers(system, 4e4) / 4e4
         density_ok = 0.95 <= c4 / c1 <= 1.05
-        ok = toy_ok and heap_ok and density_ok
+        ok = toy_ok and enum_ok and density_ok
         assert report(
-            "criterion-8 Beurling counts: exact toys, heap=bruteforce, stable density",
+            "criterion-8 Beurling counts: exact toys, enumeration=bruteforce, stable density",
             ok,
             f"count({{2,3}},10)={count_integers(toy, 10.0)}, "
             f"c(1e4)={c1:.4f}, c(4e4)={c4:.4f}, ratio={c4 / c1:.4f}",

@@ -1,8 +1,12 @@
+import heapq
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lcmspectra import (
     BeurlingSystem,
@@ -17,6 +21,58 @@ from lcmspectra import (
 )
 
 P25 = SpectralParams(0.25, 1.5)
+
+
+def _heap_integers(gens, x, max_count=5_000_000):
+    """The min-heap enumeration the level-wise one replaced, kept as its oracle.
+
+    One heap entry per multiset, with a per-generator cursor; the sibling
+    of v with largest generator j is (v / g_j) * g_(j+1).  Returns the
+    merged values and the number of merges.
+    """
+    if x < 1.0:
+        return np.empty(0), 0
+    G = len(gens)
+    out = [1.0]
+    heap = []
+    if G and gens[0] <= x:
+        heapq.heappush(heap, (float(gens[0]), 0))
+    collisions = 0
+    while heap:
+        v, j = heapq.heappop(heap)
+        if v - out[-1] <= 1e-12 * v:
+            collisions += 1
+        else:
+            out.append(v)
+            if len(out) > max_count:
+                raise EnumerationCapExceeded("cap", partial=max_count)
+        child = v * gens[j]
+        if child <= x:
+            heapq.heappush(heap, (child, j))
+        if j + 1 < G:
+            sibling = (v / gens[j]) * gens[j + 1]
+            if sibling <= x:
+                heapq.heappush(heap, (sibling, j + 1))
+    return np.asarray(out), collisions
+
+
+def _clear_of_products(gens, x):
+    """No product lies within 1e-12 of x, where the two rounding orders may
+    disagree on admission."""
+    values, _ = _heap_integers(gens, 2.0 * x)
+    return not np.any(np.abs(values - x) <= 1e-12 * x)
+
+
+def _assert_matches_heap(gens, x):
+    got = beurling_integers(BeurlingSystem(np.asarray(gens, dtype=float), P25), x)
+    want, _ = _heap_integers(np.asarray(gens, dtype=float), x)
+    assert got.size == want.size
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+ascending_generators = st.lists(
+    st.floats(min_value=1.5, max_value=50.0), min_size=1, max_size=5
+).map(sorted)
 
 
 def oracle_count(generators, x):
@@ -86,7 +142,79 @@ class TestToySystems:
             BeurlingSystem(np.array([3.0, 2.0]), P25)
 
 
+class TestAgainstHeap:
+    @settings(max_examples=60, deadline=None)
+    @given(gens=ascending_generators, x=st.floats(min_value=1.0, max_value=1000.0))
+    def test_random_generators_match_heap(self, gens, x):
+        assume(_clear_of_products(gens, x))
+        _assert_matches_heap(gens, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gens=st.lists(st.floats(min_value=1.5, max_value=50.0), min_size=1, max_size=3).map(sorted),
+        x=st.floats(min_value=1.0, max_value=300.0),
+    )
+    def test_random_generators_match_bruteforce(self, gens, x):
+        assume(_clear_of_products(gens, x))
+        system = BeurlingSystem(np.array(gens), P25)
+        assert count_integers(system, x) == oracle_count(gens, x)
+
+    def test_three_value_cluster_keeps_last_kept_rule(self, caplog):
+        # b is within 1e-12 of a and dropped; c is within 1e-12 of b but not
+        # of a, the last kept value, so c stays
+        a = 2.0
+        gens = np.array([a, a * (1 + 0.6e-12), a * (1 + 1.2e-12)])
+        with caplog.at_level(logging.WARNING, logger="lcmspectra.beurling"):
+            got = beurling_integers(BeurlingSystem(gens, P25), 3.0)
+        want, merges = _heap_integers(gens, 3.0)
+        assert got.tolist() == want.tolist() == [1.0, gens[0], gens[2]]
+        assert merges == 1
+        (record,) = caplog.records
+        assert record.msg == "merged %d numerically equal semigroup products below x=%g"
+        assert record.args == (1, 3.0)
+
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            # x / a < b, yet the product a * b rounds to x: admitted
+            (13.10941798515818, 39.67426791320114, 13.10941798515818 * 39.67426791320114),
+            # b <= x / a, yet the product a * b rounds above x: not admitted
+            (40.89826680839582, 44.18475888324738, 1807.0800576716886),
+        ],
+    )
+    def test_admission_is_the_rounded_product_test(self, a, b, x):
+        gens = (a, b)
+        want = sorted(
+            math.prod(c)
+            for k in range(4)
+            for c in itertools.combinations_with_replacement(gens, k)
+            if math.prod(c) <= x
+        )
+        assert beurling_integers(BeurlingSystem(np.array(gens), P25), x).tolist() == want
+
+    def test_cap_counts_multisets_before_merging(self):
+        # 2^a 4^b <= 64 has 16 multisets but only 7 distinct values
+        system = BeurlingSystem(np.array([2.0, 4.0]), P25)
+        assert beurling_integers(system, 64.0, max_count=16).size == 7
+        with pytest.raises(EnumerationCapExceeded) as err:
+            beurling_integers(system, 64.0, max_count=15)
+        assert err.value.partial == 15
+
+    def test_cap_at_exact_count(self):
+        system = BeurlingSystem(np.array([2.0, 3.0, 5.0]), P25)
+        n = beurling_integers(system, 1000.5).size
+        assert beurling_integers(system, 1000.5, max_count=n).size == n
+        with pytest.raises(EnumerationCapExceeded) as err:
+            beurling_integers(system, 1000.5, max_count=n - 1)
+        assert err.value.partial == n - 1
+
+
 class TestSpectralSystem:
+    @pytest.mark.parametrize("x", [1.0, 10.0, 123.4, 1000.0, 1999.5, 5e4])
+    def test_matches_heap(self, table_small, x):
+        gens = system_from_spectra(table_small).generators
+        _assert_matches_heap(gens, x)
+
     def test_generator_definition_at_rho_one(self, table_small):
         system = system_from_spectra(table_small)
         gamma = table_small.ratios_at(0)[0]  # lambda_1/lambda_0 at p = 2

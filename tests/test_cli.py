@@ -202,6 +202,9 @@ BAD_INPUTS = {
                           "--pmax", "100"],
     "table-floor-nan": ["kappa", "--sigma", "0.25", "--tau", "1.5", "--pmax", "100",
                         "--floor", "nan"],
+    "schatten-sigma-nan": ["schatten", "--sigma", "nan", "--q", "2", "--n", "16"],
+    # "=" keeps argparse from reading -inf as an option name
+    "schatten-sigma-minus-inf": ["schatten", "--sigma=-inf", "--q", "2", "--n", "16"],
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import struct
@@ -18,12 +19,14 @@ from lcmspectra import (
     counting_mu,
     entry_matrix,
     enumerate_spectrum,
+    factorize,
     finite_section_eigs,
     lambda_of,
     load_table,
     save_table,
 )
 from lcmspectra.kappa import g_p_at, kappa_numeric
+from lcmspectra import spectrum
 from lcmspectra.local import local_spectrum
 from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values
 
@@ -102,6 +105,36 @@ class TestEnumerate:
         evs = {e.n: e.value for e in enumerate_spectrum(table_small, 200)}
         for n in (1, 2, 17, 60, 128, 199):
             assert evs[n] == pytest.approx(lambda_of(n, table_small).value, rel=1e-13)
+
+    def test_bit_identical_to_sieve_order(self, table_small):
+        # the formula the enumeration had before it stopped factoring each n
+        n_max = 2000
+        vals = _lambda_values(table_small, n_max)[1:]
+        ns = np.arange(1, n_max + 1)
+        expected = [(int(ns[i]), float(vals[i])) for i in np.lexsort((ns, -vals))]
+        evs = enumerate_spectrum(table_small, n_max)
+        assert [(e.n, e.value) for e in evs] == expected
+        assert all(type(e.n) is int and type(e.value) is float for e in evs)
+
+    def test_makes_no_factorize_call(self, table_small, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(spectrum, "factorize", refuse)
+        assert len(enumerate_spectrum(table_small, 2000)) == 2000
+
+    def test_factored_on_demand(self, table_small):
+        for ev in enumerate_spectrum(table_small, 2000)[:1000]:
+            assert ev.factored == factorize(ev.n)
+
+    def test_entries_frozen_and_hashable(self, table_small):
+        evs = enumerate_spectrum(table_small, 50)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            evs[0].value = 0.0
+        with pytest.raises(AttributeError):
+            evs[0].factored = factorize(2)
+        assert len(set(evs)) == 50
+        assert hash(evs[3]) == hash(dataclasses.replace(evs[3]))
 
 
 class TestCounting:

@@ -96,6 +96,21 @@ class TestRescaled:
         assert vals[0] <= rho * N ** (-rho) * frob_sq + 1e-12
 
 
+TOEPLITZ_CALLS = {
+    "rescaled": lambda s: rescaled_singular_values(8, s),
+    "top-sparse": lambda s: top_rescaled_singular_value(8, s),
+    "hadamard": lambda s: hadamard_factor(8, 4, s),
+    "schatten": lambda s: schatten_diff(8, 4, 4, s),
+}
+
+
+@pytest.mark.parametrize("sigma", [math.nan, -math.inf, math.inf, 0.5])
+@pytest.mark.parametrize("name", list(TOEPLITZ_CALLS))
+def test_rescaling_needs_finite_sigma_below_half(name, sigma):
+    with pytest.raises(InvalidRegime):
+        TOEPLITZ_CALLS[name](sigma)
+
+
 class TestTopRescaledSparse:
     @pytest.mark.parametrize("N", [1, 64, 2048])
     def test_sparse_pattern_is_dense_truncation(self, N):
