@@ -12,6 +12,7 @@ once.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,10 @@ def beurling_integers(
 
     max_count caps the number of generator multisets, the empty one
     included, i.e. the products before merging; it is checked before each
-    level is allocated, so memory stays O(max_count).
+    level is allocated, so memory stays O(max_count).  x must be finite.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x < 1.0:
         return np.empty(0)
     gens = system.generators
@@ -148,7 +151,8 @@ def _admitted_end(gens, v, j, x) -> np.ndarray:
 def count_integers(
     system: BeurlingSystem, x: float, max_count: int = DEFAULT_CAP
 ) -> int:
-    """#{semigroup elements <= x}; zero for x < 1, and 1 is always counted."""
+    """#{semigroup elements <= x} for finite x >= 0; zero for x < 1, and 1
+    is always counted."""
     if x < 0.0:
         raise ValueError("x must be non-negative")
     return int(beurling_integers(system, x, max_count).size)
@@ -164,8 +168,8 @@ def density_fit(
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("x_grid must be a non-empty one-dimensional sequence")
-    if np.any(np.diff(xs) < 0) or xs[0] < 1.0:
-        raise ValueError("x_grid must ascend and start at x >= 1")
+    if not np.all(np.isfinite(xs)) or np.any(np.diff(xs) < 0) or xs[0] < 1.0:
+        raise ValueError("x_grid must be finite, ascend and start at x >= 1")
     values = beurling_integers(system, float(xs[-1]), max_count)
     counts = np.searchsorted(values, xs, side="right")
     return counts / xs

@@ -10,6 +10,7 @@ against dense finite sections.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import os
@@ -273,19 +274,43 @@ def base_product(
 
 
 def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
-    """lambda_n via the product formula: Lambda_0 times per-prime ratios."""
+    """lambda_n via the product formula: Lambda_0 times per-prime ratios.
+
+    n is factored by trial division by the table's own primes up to its
+    square root, and a remaining prime cofactor is located by bisection;
+    the ratios are multiplied in ascending-prime order, as in the lambda
+    sieve.  The table's arrays are read through memoryviews (Python
+    scalars, no copy).
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    primes = memoryview(table.primes)
+    offsets = memoryview(table.offsets)
+    lengths = memoryview(table.lengths)
+    ratios = memoryview(table.kept_ratios)
     value = table.base_product
-    for p, k in factorize(int(n)).factors:
+    m = int(n)
+    factors = []
+    for i, p in enumerate(primes):
+        if p * p > m:
+            break
+        if m % p == 0:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            factors.append((i, p, k))
+    if m > 1:  # a prime, or (every table prime tried) a product of primes above p_max
+        factors.append((bisect.bisect_left(primes, m), m, 1))
+    for i, p, k in factors:
         if p > table.p_max:
             raise PrimeOutOfRange(
-                f"prime factor {p} of n={n} exceeds table cutoff {table.p_max}"
+                f"factor {p} of n={n} has no prime factor up to the table cutoff"
+                f" {table.p_max}"
             )
-        i = table.index_of(p)
-        if k > table.lengths[i]:
+        if k > lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
-        value *= table.kept_ratios[table.offsets[i] + k - 1]
+        value *= ratios[offsets[i] + k - 1]
     return GlobalEigenvalue(int(n), value)
 
 

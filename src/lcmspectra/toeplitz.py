@@ -1,14 +1,16 @@
 """Truncated multiplicative Toeplitz matrices with symbol coefficients n^(-sigma).
 
 The N x N truncation T_N has entry (n, m) = (n/m)^(-sigma) when m | n and
-0 otherwise.  Its Gram matrix T_N^T T_N collapses to a divisor sum,
-entry (n, m) = n^s m^s [n,m]^(-2s) F(N/[n,m]) with the truncated power
-sum F, which is what makes N = 2048 affordable.  Rescaled by rho N^(-rho)
-(tau = 1 context, rho = 1 - 2 sigma) the squared singular values track the
-eigenvalues of E(sigma, 1); the Hadamard factor G_N measures the finite-N
-distortion and the Schatten diagnostics quantify its decay.  Beyond the
-dense range, T_N itself is sparse (about N ln N nonzeros), and Lanczos on
-T_N^T T_N gives the top rescaled value at N ~ 10^6.
+0 otherwise.  T_N is sparse (about N ln N nonzeros), so its Gram matrix
+T_N^T T_N comes from one sparse product: densified, that is the dense
+route to every singular value (N = 2048), and as a Lanczos operator it
+gives the top value at N ~ 10^6.  The Gram matrix also collapses to a
+divisor sum, entry (n, m) = n^s m^s [n,m]^(-2s) F(N/[n,m]) with the
+truncated power sum F; that closed form is kept as the independent
+oracle.  Rescaled by rho N^(-rho) (tau = 1 context, rho = 1 - 2 sigma) the
+squared singular values track the eigenvalues of E(sigma, 1); the
+Hadamard factor G_N measures the finite-N distortion and the Schatten
+diagnostics quantify its decay.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ def _toeplitz_csc(N: int, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return k.astype(float) ** (-sigma), k * cols - 1, indptr
 
 
+def _toeplitz_sparse(N: int, sigma: float):
+    """T_N as a scipy CSC matrix, the one construction of both rescaled routes."""
+    pattern = _toeplitz_csc(N, sigma)
+    # imported here so that `import lcmspectra` stays numpy-only
+    from scipy.sparse import csc_matrix
+
+    return csc_matrix(pattern, shape=(N, N))
+
+
 def build_toeplitz(N: int, sigma: float) -> ToeplitzTruncation:
     """T_N: entry (n, m) = (n/m)^(-sigma) when m divides n, else 0."""
     vals, rows, indptr = _toeplitz_csc(N, sigma)
@@ -95,8 +106,10 @@ def gram_via_formula(
 ) -> GramMatrix:
     """T_N^T T_N assembled from the divisor-sum formula in O(N^2 log N).
 
-    Entries with [n, m] > N vanish (the divisor sum is empty); the direct
-    O(N^3) product is kept for oracle tests only.
+    Entries with [n, m] > N vanish (the divisor sum is empty).  This is the
+    independent oracle for the sparse product T_N^T T_N that
+    rescaled_singular_values densifies; it builds several N x N grids and
+    is not on that route.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -118,12 +131,15 @@ def rescaled_singular_values(N: int, sigma: float) -> np.ndarray:
 
     These approach the eigenvalues of E(sigma, 1) as N grows, uniformly in
     the index, but slowly: at sigma = 1/4 the top value is still 20.2% below
-    lambda_1 at N = 2048 (dense Gram eigensolve, O(N^3)).  For the top value
-    at larger N use top_rescaled_singular_value, which measures 5.8% at
-    N = 2^17 and 3.6% at N = 2^19.
+    lambda_1 at N = 2048.  The Gram matrix is the sparse product T_N^T T_N
+    (about 1% of its entries are nonzero at N = 2048), densified for one
+    O(N^3) symmetric eigensolve.  For the top value at larger N use
+    top_rescaled_singular_value, which measures 5.8% at N = 2^17 and 3.6% at
+    N = 2^19.
     """
     rho = _rescaling_rho(sigma)
-    w = np.linalg.eigvalsh(gram_via_formula(N, sigma).values)[::-1]
+    T = _toeplitz_sparse(N, sigma)
+    w = np.linalg.eigvalsh((T.T @ T).toarray())[::-1]
     return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
 
 
@@ -137,12 +153,9 @@ def top_rescaled_singular_value(N: int, sigma: float) -> float:
     rounding.
     """
     rho = _rescaling_rho(sigma)
-    pattern = _toeplitz_csc(N, sigma)
-    # imported here so that `import lcmspectra` stays numpy-only
-    from scipy.sparse import csc_matrix
+    T = _toeplitz_sparse(N, sigma)
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    T = csc_matrix(pattern, shape=(N, N))
     if N == 1:  # T_1 = [1]; ARPACK needs k = 1 < N
         top = 1.0
     else:

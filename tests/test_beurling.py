@@ -98,6 +98,14 @@ class TestToySystems:
         system = BeurlingSystem(np.array([2.0, 3.0]), P25)
         assert count_integers(system, 0.5) == 0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, x):
+        system = BeurlingSystem(np.array([2.0, 3.0]), P25)
+        with pytest.raises(ValueError):
+            count_integers(system, x)
+        with pytest.raises(ValueError):
+            beurling_integers(system, x)
+
     def test_primes_to_seven_cover_ten(self):
         system = BeurlingSystem(np.array([2.0, 3.0, 5.0, 7.0]), P25)
         assert count_integers(system, 10.0) == 10
@@ -267,6 +275,9 @@ class TestSpectralSystem:
             density_fit(system, [0.5, 10.0])
         with pytest.raises(ValueError):
             density_fit(system, [10.0, 5.0])
+        for grid in ([math.nan, 10.0], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                density_fit(system, grid)
 
 
 class TestEnumerationValues:

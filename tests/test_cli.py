@@ -205,6 +205,8 @@ BAD_INPUTS = {
     "schatten-sigma-nan": ["schatten", "--sigma", "nan", "--q", "2", "--n", "16"],
     # "=" keeps argparse from reading -inf as an option name
     "schatten-sigma-minus-inf": ["schatten", "--sigma=-inf", "--q", "2", "--n", "16"],
+    "beurling-x-nan": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "nan",
+                       "--pmax", "1000"],
 }
 
 

@@ -49,7 +49,62 @@ class TestBaseProduct:
         assert gap <= t1k.tail_exponent_bound
 
 
+def _lambda_of_factorize(n, table):
+    """Reference lambda_n: factorize n, then multiply Lambda_0 by one kept
+    ratio per prime power in ascending-prime order."""
+    value = table.base_product
+    for p, k in factorize(n).factors:
+        i = table.index_of(p)  # PrimeOutOfRange above p_max
+        if k > table.lengths[i]:
+            raise FloorTooHigh(f"lambda_{k}(E_{p})")
+        value *= table.kept_ratios[table.offsets[i] + k - 1]
+    return value
+
+
+def _lambda_value(n, table):
+    return lambda_of(n, table).value
+
+
+def _outcome(f, n, table):
+    """The value f returns for n, or the class of the lookup error it raises."""
+    try:
+        return f(n, table)
+    except (PrimeOutOfRange, FloorTooHigh) as exc:
+        return type(exc)
+
+
 class TestLambdaOf:
+    def test_matches_factorize_loop_up_to_2e4(self, table_small):
+        got = [_outcome(_lambda_value, n, table_small) for n in range(1, 20_001)]
+        ref = [_outcome(_lambda_of_factorize, n, table_small) for n in range(1, 20_001)]
+        assert got == ref
+        assert PrimeOutOfRange in got and any(isinstance(v, float) for v in got)
+
+    @given(n=st.integers(1, 2 * 10**7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_factorize_loop(self, n, table_small):
+        got = _outcome(_lambda_value, n, table_small)
+        assert got == _outcome(_lambda_of_factorize, n, table_small)
+
+    def test_lookup_errors(self, table_small):
+        q = 2003  # the first prime above p_max = 2000
+        top = int(table_small.lengths[0])  # last exponent of 2 above the floor
+        assert lambda_of(2**top, table_small).value == _lambda_of_factorize(2**top, table_small)
+        for n, exc in [
+            (q, PrimeOutOfRange),
+            (6 * q, PrimeOutOfRange),
+            (q * q, PrimeOutOfRange),  # no prime factor up to p_max at all
+            (3 * q * q, PrimeOutOfRange),
+            (2 ** (top + 1), FloorTooHigh),
+            (2 ** (top + 1) * 3, FloorTooHigh),
+            (2 ** (top + 1) * q, FloorTooHigh),  # ascending primes: 2 fails first
+        ]:
+            with pytest.raises(exc):
+                lambda_of(n, table_small)
+            assert _outcome(_lambda_of_factorize, n, table_small) is exc
+        with pytest.raises(ValueError):
+            lambda_of(0, table_small)
+
     def test_n_one_is_base_product(self, table_small):
         assert lambda_of(1, table_small).value == table_small.base_product
 

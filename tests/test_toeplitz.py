@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lcmspectra
 from lcmspectra import (
     InvalidRegime,
     SpectralParams,
@@ -15,7 +19,7 @@ from lcmspectra import (
     top_rescaled_singular_value,
     zeta_real,
 )
-from lcmspectra.toeplitz import _toeplitz_csc, _trace_power_even
+from lcmspectra.toeplitz import _toeplitz_sparse, _trace_power_even
 
 
 class TestBuildToeplitz:
@@ -95,6 +99,20 @@ class TestRescaled:
         frob_sq = float(np.sum(build_toeplitz(N, sigma).values ** 2))
         assert vals[0] <= rho * N ** (-rho) * frob_sq + 1e-12
 
+    @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.25, 0.4])
+    @pytest.mark.parametrize("N", [1, 2, 64, 256, 2048])
+    def test_matches_formula_gram_eigensolve(self, N, sigma):
+        rho = 1 - 2 * sigma
+        w = np.linalg.eigvalsh(gram_via_formula(N, sigma).values)[::-1]
+        ref = rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
+        got = rescaled_singular_values(N, sigma)
+        assert got.shape == (N,)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * ref[0])
+
+    def test_reruns_identical(self):
+        a = rescaled_singular_values(2048, 0.25)
+        assert a.tobytes() == rescaled_singular_values(2048, 0.25).tobytes()
+
 
 TOEPLITZ_CALLS = {
     "rescaled": lambda s: rescaled_singular_values(8, s),
@@ -111,12 +129,25 @@ def test_rescaling_needs_finite_sigma_below_half(name, sigma):
         TOEPLITZ_CALLS[name](sigma)
 
 
+def test_import_leaves_scipy_unloaded():
+    # the sparse routes import scipy inside their functions, so that the
+    # package itself, and every path that never touches T_N, stays numpy-only
+    src = os.path.dirname(os.path.dirname(lcmspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, lcmspectra, lcmspectra.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 class TestTopRescaledSparse:
     @pytest.mark.parametrize("N", [1, 64, 2048])
     def test_sparse_pattern_is_dense_truncation(self, N):
-        from scipy.sparse import csc_matrix
-
-        T = csc_matrix(_toeplitz_csc(N, 0.25), shape=(N, N)).toarray()
+        T = _toeplitz_sparse(N, 0.25).toarray()
         assert np.array_equal(T, build_toeplitz(N, 0.25).values)
 
     @pytest.mark.parametrize("N", [64, 2048])
