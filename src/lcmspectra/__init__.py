@@ -60,7 +60,6 @@ from .local import (
     local_spectrum,
     sandwich_envelope,
     top_eig_certificate,
-    top_eigenvector_overlap,
     truncation_order,
     truncation_tail_bound,
 )
@@ -69,7 +68,6 @@ from .spectrum import (
     GlobalEigenvalue,
     GlobalSpectrumTable,
     SpectralEnvelope,
-    base_product,
     build_table,
     counting_mu,
     entry_matrix,
@@ -80,9 +78,6 @@ from .spectrum import (
     save_table,
 )
 from .toeplitz import (
-    GramMatrix,
-    HadamardFactor,
-    ToeplitzTruncation,
     build_toeplitz,
     gram_via_formula,
     hadamard_factor,

@@ -80,12 +80,6 @@ class FactoredIndex:
             out *= p**k
         return out
 
-    def exponent(self, p: int) -> int:
-        for q, k in self.factors:
-            if q == p:
-                return k
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 

@@ -5,11 +5,11 @@ and the artifact version (JSON documents carry it as a leading "_comment"
 field since JSON has no comment syntax).  Floats are printed with 17
 significant digits so reruns with identical flags are byte-identical.
 
-Exit codes: 0 success; 2 invalid parameters (non-finite numbers and
-values whose powers overflow double precision included) or an output
-file or cache directory that cannot be used; 3 certificate or coverage
-unavailable; 4 numerical failure.  Every failure prints one "error:"
-line to stderr, never a traceback.
+Exit codes: 0 success; 2 invalid parameters (non-finite numbers, sizes
+out of range and values whose powers overflow double precision included)
+or an output file or cache directory that cannot be used; 3 certificate
+or coverage unavailable; 4 numerical failure.  Every failure prints one
+"error:" line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ def _comment(args: argparse.Namespace) -> str:
     return f"lcm-spectra {__version__} " + " ".join(parts)
 
 
-def _emit(args, header: list[str], rows: list[list], fmt: str | None = None) -> None:
-    fmt = fmt or getattr(args, "format", "csv")
+def _emit(args, header: list[str], rows: list[list]) -> None:
     comment = _comment(args)
-    if fmt == "json":
+    if getattr(args, "format", "csv") == "json":
         payload = {
             "_comment": comment,
             "rows": [dict(zip(header, row)) for row in rows],
@@ -142,7 +141,9 @@ def cmd_local_eigs(args) -> None:
 
 def cmd_spectrum(args) -> None:
     # the base product needs primes well beyond nmax to converge
-    p_max = args.pmax or max(args.nmax, 10_000)
+    p_max = max(args.nmax, 10_000) if args.pmax is None else args.pmax
+    if p_max < 2:
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
     table = _table(args, max(p_max, args.nmax))
     rho = table.params.rho
     rows = [
@@ -206,6 +207,8 @@ def cmd_kappa(args) -> None:
 def cmd_toeplitz_compare(args) -> None:
     if args.tau != 1.0:
         raise InvalidRegime("the Toeplitz comparison lives at tau = 1")
+    if args.top < 1:
+        raise ValueError(f"top must be >= 1, got {args.top}")
     table = _table(args, args.pmax)
     rescaled = rescaled_singular_values(args.n, args.sigma)
     top = min(args.top, args.n)
@@ -225,7 +228,7 @@ def cmd_schatten(args) -> None:
 
 
 def cmd_beurling(args) -> None:
-    p_max = args.pmax or int(1.25 * max(args.x)) + 10
+    p_max = int(1.25 * max(args.x)) + 10 if args.pmax is None else args.pmax
     table = _table(args, p_max)
     system = system_from_spectra(table)
     rows = []
@@ -253,8 +256,8 @@ def _verify_checks(args):
         worst = 0.0
         for N in (16, 64):
             for sigma in (0.0, 0.25):
-                G = gram_via_formula(N, sigma).values
-                T = build_toeplitz(N, sigma).values
+                G = gram_via_formula(N, sigma)
+                T = build_toeplitz(N, sigma)
                 direct = T.T @ T
                 worst = max(
                     worst,

@@ -76,10 +76,6 @@ class KappaComputation:
     tail_estimate: float
     extrapolated: bool
 
-    @property
-    def s_threshold(self) -> float:
-        return s_threshold(self.params)
-
 
 def kappa_numeric(
     params: SpectralParams,

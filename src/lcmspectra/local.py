@@ -24,7 +24,6 @@ __all__ = [
     "truncation_order",
     "truncation_tail_bound",
     "block_eigenvalues",
-    "top_eigenvector_overlap",
     "local_spectrum",
     "sandwich_envelope",
     "best_envelope",
@@ -151,26 +150,18 @@ def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
     return np.sort(1.0 / q, axis=1)[:, ::-1].reshape(p.shape + (K,))
 
 
-def top_eigenvector_overlap(p: float, params: SpectralParams, K: int) -> float:
-    """|first component| of the top eigenvector of the K x K block at p."""
-    _, vecs = np.linalg.eigh(build_local_matrix(p, params, K))
-    return float(abs(vecs[0, -1]))
-
-
 @dataclass(frozen=True)
 class LocalSpectrum:
     """Truncated eigendecomposition of one prime-local block.
 
     eigenvalues holds everything above the floor, in descending order;
-    top_overlap is |<top eigenvector, e_0>|; tail_bound is a rigorous
-    Weyl bound on the truncation effect.
+    tail_bound is a rigorous Weyl bound on the truncation effect.
     """
 
     p: float
     params: SpectralParams
     truncation_order: int
     eigenvalues: np.ndarray
-    top_overlap: float
     tail_bound: float
     floor: float
 
@@ -204,7 +195,6 @@ def local_spectrum(
         params=params,
         truncation_order=K,
         eigenvalues=kept,
-        top_overlap=top_eigenvector_overlap(p, params, K),
         tail_bound=float(truncation_tail_bound(p, params, K)),
         floor=float(target_floor),
     )
@@ -227,7 +217,6 @@ class SandwichEnvelope:
     a: float
     c_lower: float
     c_upper: float
-    valid: bool
     lower_clamped: bool = False
 
     def lower(self, k) -> np.ndarray | float:
@@ -240,17 +229,19 @@ class SandwichEnvelope:
 def sandwich_envelope(p: float, params: SpectralParams, a: float) -> SandwichEnvelope:
     """Eigenvalue envelope from the diagonal comparison at q = p^tau.
 
-    Valid for mixing parameters a > q^(-1/2)/(1 - 1/q); raises otherwise.
-    c_lower is only meaningful for a < sqrt(q) and is clamped to 0 beyond.
+    Valid for finite mixing parameters a > q^(-1/2)/(1 - 1/q); raises
+    otherwise.  c_lower is only meaningful for a < sqrt(q) and is clamped
+    to 0 beyond.
     """
     q = float(p) ** params.tau
     if q <= 1.0:
         raise InvalidRegime("sandwich comparison needs p^tau > 1")
     u = 1.0 / math.sqrt(q)
-    upper_denom = 1.0 - 1.0 / q - u / a if a > 0 else -1.0
-    if a <= 0 or upper_denom <= 0.0:
+    upper_denom = 1.0 - 1.0 / q - u / a if 0.0 < a < math.inf else -1.0
+    if upper_denom <= 0.0:
         raise ValueError(
-            f"mixing parameter a={a} invalid at q={q}: needs a > {u / (1.0 - 1.0 / q):.6g}"
+            f"mixing parameter a={a} invalid at q={q}: "
+            f"needs a finite a > {u / (1.0 - 1.0 / q):.6g}"
         )
     c_upper = (1.0 - 1.0 / q) * (1.0 + a * u) / upper_denom
     num = 1.0 - a * u
@@ -262,7 +253,6 @@ def sandwich_envelope(p: float, params: SpectralParams, a: float) -> SandwichEnv
         a=float(a),
         c_lower=c_lower,
         c_upper=c_upper,
-        valid=True,
         lower_clamped=clamped,
     )
 
@@ -329,10 +319,6 @@ class TopEigenvalueCertificate:
     params: SpectralParams
     bound: float
     h: float
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (1.0, 1.0 + self.bound)
 
     def contains(self, value: float, slack: float = 1e-12) -> bool:
         return 1.0 - slack <= value <= 1.0 + self.bound + slack

@@ -42,8 +42,7 @@ from .local import (
     LocalSpectrum,
     best_envelope,
     block_eigenvalues,
-    hs_bound_squared,
-    top_eigenvector_overlap,
+    top_eig_certificate,
     truncation_order,
     truncation_tail_bound,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "CountingResult",
     "SpectralEnvelope",
     "build_table",
-    "base_product",
     "lambda_of",
     "enumerate_spectrum",
     "counting_mu",
@@ -118,14 +116,12 @@ def _product_tail_bound(params: SpectralParams, p_max: int) -> float:
 
     Every prime is an integer, so this majorises the prime tail of the
     base product.  Uses the certified per-base excess a^2/(1-h), its
-    monotonicity in the base, and integral comparison.
+    monotonicity in the base, and integral comparison; h is that of
+    top_eig_certificate at p_max, which raises CertificateUnavailable
+    when h >= 1.
     """
     tpr = params.tau + params.rho
-    h = p_max ** (-params.rho) * math.sqrt(hs_bound_squared(p_max, params))
-    if h >= 1.0:
-        raise CertificateUnavailable(
-            f"tail certificate needs h(p_max) < 1, got {h:.4f} at p_max={p_max}"
-        )
+    h = top_eig_certificate(p_max, params).h
     coeff = 1.0 / ((1.0 - p_max ** (-tpr)) * (1.0 - h))
     return coeff * p_max ** (1.0 - tpr) / (tpr - 1.0)
 
@@ -140,6 +136,13 @@ class GlobalSpectrumTable:
     length and owner[j] the row of kept_ratios[j].  Every array is
     read-only and nothing is cached after construction, so queries may run
     concurrently.
+
+    base_product is Lambda_0, the product of lambda0 over the table's
+    primes, and tail_exponent_bound a certified bound t_bound on the log
+    of the remaining infinite tail, so the full product lies in
+    [Lambda_0, Lambda_0 exp(t_bound)].  In weakly decaying regimes a small
+    p_max admits no certificate; t_bound is then inf and only
+    tail-certified queries fail.
     """
 
     def __init__(self, params, p_max, floor, primes, lambda0, offsets, kept_ratios):
@@ -163,7 +166,6 @@ class GlobalSpectrumTable:
         try:
             self.tail_exponent_bound = _product_tail_bound(params, self.p_max)
         except CertificateUnavailable:
-            # enumeration still works; only tail-certified queries must fail
             self.tail_exponent_bound = math.inf
 
     def __len__(self) -> int:
@@ -180,17 +182,14 @@ class GlobalSpectrumTable:
         return self.kept_ratios[self.offsets[i] : self.offsets[i + 1]]
 
     def local(self, p: int) -> LocalSpectrum:
-        """Reassemble the stored LocalSpectrum for one prime; the top
-        eigenvector overlap, which the table does not store, is recomputed."""
+        """The LocalSpectrum of one prime, reassembled from the stored row."""
         i = self.index_of(p)
-        K = int(self.trunc_orders[i])
         eig = np.concatenate([[1.0], self.ratios_at(i)]) * self.lambda0[i]
         return LocalSpectrum(
             p=float(p),
             params=self.params,
-            truncation_order=K,
+            truncation_order=int(self.trunc_orders[i]),
             eigenvalues=eig,
-            top_overlap=top_eigenvector_overlap(p, self.params, K),
             tail_bound=float(self.tail_bounds[i]),
             floor=self.floor,
         )
@@ -255,22 +254,6 @@ def build_table(
     if cache_path:
         save_table(table, cache_path)
     return table
-
-
-def base_product(
-    params: SpectralParams,
-    p_max: int,
-    target_floor: float = DEFAULT_FLOOR,
-) -> tuple[float, float]:
-    """(Lambda_0, t_bound): product of top local eigenvalues over p <= p_max
-    and a certified bound on the log of the remaining infinite tail, so the
-    full product lies in [Lambda_0, Lambda_0 * exp(t_bound)].
-
-    In weakly decaying regimes a small p_max may admit no certificate at
-    all; t_bound is then inf and only tail-certified queries are blocked.
-    """
-    table = build_table(params, p_max, target_floor)
-    return table.base_product, table.tail_exponent_bound
 
 
 def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
@@ -403,8 +386,8 @@ def counting_mu(
     indices beyond it cannot qualify, indices below it are enumerated and
     counted directly.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be positive and finite, got {t}")
     env = table.envelope()
     if not math.isfinite(env.prefactor):
         raise CertificateUnavailable(

@@ -16,7 +16,6 @@ diagnostics quantify its decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .errors import InvalidRegime
 from .spectrum import entry_matrix
 
 __all__ = [
-    "ToeplitzTruncation",
-    "GramMatrix",
-    "HadamardFactor",
     "build_toeplitz",
     "gram_via_formula",
     "rescaled_singular_values",
@@ -35,28 +31,6 @@ __all__ = [
     "hadamard_factor",
     "schatten_diff",
 ]
-
-
-@dataclass(frozen=True)
-class ToeplitzTruncation:
-    n: int
-    sigma: float
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    n: int
-    sigma: float
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class HadamardFactor:
-    n: int
-    m: int
-    sigma: float
-    values: np.ndarray
 
 
 def _rescaling_rho(sigma: float) -> float:
@@ -93,18 +67,16 @@ def _toeplitz_sparse(N: int, sigma: float):
     return csc_matrix(pattern, shape=(N, N))
 
 
-def build_toeplitz(N: int, sigma: float) -> ToeplitzTruncation:
-    """T_N: entry (n, m) = (n/m)^(-sigma) when m divides n, else 0."""
+def build_toeplitz(N: int, sigma: float) -> np.ndarray:
+    """T_N as a dense N x N array: entry (n, m) = (n/m)^(-sigma) when m | n, else 0."""
     vals, rows, indptr = _toeplitz_csc(N, sigma)
     T = np.zeros((N, N))
     T[rows, np.repeat(np.arange(N), np.diff(indptr))] = vals
-    return ToeplitzTruncation(N, float(sigma), T)
+    return T
 
 
-def gram_via_formula(
-    N: int, sigma: float, table: PowerSumTable | None = None
-) -> GramMatrix:
-    """T_N^T T_N assembled from the divisor-sum formula in O(N^2 log N).
+def gram_via_formula(N: int, sigma: float) -> np.ndarray:
+    """Dense N x N array T_N^T T_N from the divisor-sum formula, O(N^2 log N).
 
     Entries with [n, m] > N vanish (the divisor sum is empty).  This is the
     independent oracle for the sparse product T_N^T T_N that
@@ -113,17 +85,15 @@ def gram_via_formula(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if table is None:
-        table = PowerSumTable(sigma, N)
+    table = PowerSumTable(sigma, N)
     n = np.arange(1, N + 1, dtype=float)
     ell = lcm_grid(N)
     counts = np.where(ell <= N, N // ell, 0)
-    vals = (
+    return (
         np.multiply.outer(n**sigma, n**sigma)
         * ell.astype(float) ** (-2.0 * sigma)
         * table.at_int(counts)
     )
-    return GramMatrix(N, float(sigma), vals)
 
 
 def rescaled_singular_values(N: int, sigma: float) -> np.ndarray:
@@ -164,23 +134,20 @@ def top_rescaled_singular_value(N: int, sigma: float) -> float:
     return rho * float(N) ** (-rho) * float(top)
 
 
-def hadamard_factor(
-    N: int, M: int, sigma: float, table: PowerSumTable | None = None
-) -> HadamardFactor:
+def hadamard_factor(N: int, M: int, sigma: float) -> np.ndarray:
     """Finite-N distortion [G_N]_{n,m} = [n,m]^rho F(N/[n,m]) / F(N) on M x M.
 
-    Entrywise G_N -> 1 as N grows while staying uniformly bounded; entries
-    with [n, m] > N are 0.  Needs a finite sigma < 1/2.
+    Returns the dense M x M array.  Entrywise G_N -> 1 as N grows while
+    staying uniformly bounded; entries with [n, m] > N are 0.  Needs a
+    finite sigma < 1/2.
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
     rho = _rescaling_rho(sigma)
-    if table is None:
-        table = PowerSumTable(sigma, N)
+    table = PowerSumTable(sigma, N)
     ell = lcm_grid(M)
     counts = np.where(ell <= N, N // ell, 0)
-    vals = ell.astype(float) ** rho * table.at_int(counts) / table.at_int(N)
-    return HadamardFactor(N, M, float(sigma), vals)
+    return ell.astype(float) ** rho * table.at_int(counts) / table.at_int(N)
 
 
 def _trace_power_even(D: np.ndarray, q: int) -> float:
@@ -206,6 +173,6 @@ def schatten_diff(N: int, M: int, q: int, sigma: float) -> float:
     if q * rho <= 1.0:
         raise InvalidRegime(f"needs q * rho > 1, got q={q}, rho={rho}")
     E = entry_matrix(SpectralParams(sigma, 1.0), M)
-    G = hadamard_factor(N, M, sigma).values
+    G = hadamard_factor(N, M, sigma)
     D = E * (G - 1.0)
     return _trace_power_even(D, q) ** (1.0 / q)

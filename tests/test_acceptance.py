@@ -174,8 +174,8 @@ class TestCriterion6ExactIdentities:
     def test_c6b_gram_identity(self):
         worst = 0.0
         for N in (16, 64, 256):
-            G = gram_via_formula(N, 0.25).values
-            T = build_toeplitz(N, 0.25).values
+            G = gram_via_formula(N, 0.25)
+            T = build_toeplitz(N, 0.25)
             direct = T.T @ T
             scale = np.abs(direct) + np.abs(direct).max() * 1e-3
             worst = max(worst, float(np.max(np.abs(G - direct) / scale)))
@@ -231,7 +231,7 @@ class TestCriterion7SchattenTrend:
         v1024 = schatten_diff(1024, 256, 2, 0.0)
         halved = v1024 < 0.5 * v16
         devs = [
-            float(np.abs(hadamard_factor(N, 10, 0.0).values - 1.0).max())
+            float(np.abs(hadamard_factor(N, 10, 0.0) - 1.0).max())
             for N in (16, 128, 1024)
         ]
         entrywise = devs[0] > devs[1] > devs[2] and devs[-1] < 0.1

@@ -207,6 +207,21 @@ BAD_INPUTS = {
     "schatten-sigma-minus-inf": ["schatten", "--sigma=-inf", "--q", "2", "--n", "16"],
     "beurling-x-nan": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "nan",
                        "--pmax", "1000"],
+    "counting-t-nan": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "nan",
+                       "--pmax", "1000"],
+    "counting-t-inf": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "inf",
+                       "--pmax", "1000"],
+    "toeplitz-top-zero": ["toeplitz-compare", "--sigma", "0.25", "--n", "16", "--top", "0",
+                          "--pmax", "1000"],
+    "toeplitz-top-negative": ["toeplitz-compare", "--sigma", "0.25", "--n", "16",
+                              "--top=-3", "--pmax", "1000"],
+    "spectrum-pmax-negative": ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "3",
+                               "--pmax=-5"],
+    "spectrum-pmax-zero": ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "3",
+                           "--pmax", "0"],
+    "beurling-pmax-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
+                           "--pmax", "0"],
+    "local-a-inf": LOCAL + ["--p", "3", "--a", "inf"],
 }
 
 

@@ -20,13 +20,23 @@ from lcmspectra import (
     primes_up_to,
     sandwich_envelope,
     top_eig_certificate,
-    top_eigenvector_overlap,
     truncation_order,
 )
 from lcmspectra.local import DEFAULT_FLOOR
 from lcmspectra.spectrum import _SOLVER_MARGIN
 
 P25 = SpectralParams(0.25, 1.5)
+
+
+def top_eigenvector_overlap(p: float, params: SpectralParams, K: int) -> float:
+    """|first component| of the top eigenvector of the K x K block at p."""
+    _, vecs = np.linalg.eigh(build_local_matrix(p, params, K))
+    return float(abs(vecs[0, -1]))
+
+
+def top_overlap(p: float, params: SpectralParams) -> float:
+    """The overlap at the truncation order local_spectrum uses."""
+    return top_eigenvector_overlap(p, params, truncation_order(p, params, DEFAULT_FLOOR))
 
 
 class TestBuildMatrix:
@@ -169,7 +179,7 @@ class TestLocalSpectrum:
 
     def test_overlap_in_unit_interval(self):
         for p in (2, 13, 199):
-            assert 0.0 < local_spectrum(p, P25).top_overlap <= 1.0
+            assert 0.0 < top_overlap(p, P25) <= 1.0
 
     def test_rejects_bad_regime(self):
         with pytest.raises(InvalidRegime):
@@ -230,6 +240,11 @@ class TestSandwich:
         # q = 3^1.5 ~ 5.196 needs a > 0.543; a = 1/2 is inadmissible
         with pytest.raises(ValueError):
             sandwich_envelope(3, P25, 0.5)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_a_raises(self, a):
+        with pytest.raises(ValueError, match="finite a"):
+            sandwich_envelope(16.0 ** (1.0 / P25.tau), P25, a)
 
     def test_lower_clamped_when_a_too_large(self):
         p = 16.0 ** (1.0 / P25.tau)
@@ -345,7 +360,7 @@ class TestCertificate:
 class TestOverlapTrend:
     def test_bound_fitted_at_13_holds_beyond(self):
         tpr = P25.tau + P25.rho
-        c_fit = (1 - local_spectrum(13, P25).top_overlap) * 13.0**tpr
+        c_fit = (1 - top_overlap(13, P25)) * 13.0**tpr
         for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
-            gap = 1 - local_spectrum(p, P25).top_overlap
+            gap = 1 - top_overlap(p, P25)
             assert gap <= c_fit * p ** (-tpr)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmspectra import (
+    CertificateUnavailable,
     EnumerationInfeasible,
     FloorTooHigh,
     InvalidRegime,
@@ -27,8 +28,8 @@ from lcmspectra import (
 )
 from lcmspectra.kappa import g_p_at, kappa_numeric
 from lcmspectra import spectrum
-from lcmspectra.local import local_spectrum
-from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values
+from lcmspectra.local import hs_bound_squared, local_spectrum
+from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values, _product_tail_bound
 
 P25 = SpectralParams(0.25, 1.5)
 
@@ -47,6 +48,40 @@ class TestBaseProduct:
             math.log(table_counting.base_product) - math.log(t1k.base_product)
         )
         assert gap <= t1k.tail_exponent_bound
+
+
+def _tail_bound_inline(params, p_max):
+    """Oracle for _product_tail_bound: h and its h >= 1 refusal written
+    out inline rather than taken from top_eig_certificate."""
+    tpr = params.tau + params.rho
+    h = p_max ** (-params.rho) * math.sqrt(hs_bound_squared(p_max, params))
+    if h >= 1.0:
+        raise CertificateUnavailable(f"h = {h}")
+    coeff = 1.0 / ((1.0 - p_max ** (-tpr)) * (1.0 - h))
+    return coeff * p_max ** (1.0 - tpr) / (tpr - 1.0)
+
+
+TAIL_REGIMES = [(0.25, 1.5), (0.25, 1.0), (0.0, 0.75), (0.0, 0.6), (0.3, 0.9),
+                (-0.45, 0.1), (0.4, 1.3), (0.1, 0.9)]
+TAIL_P_MAX = [2, 3, 10, 100, 2000, 10**5, 10**6, 10**7]
+
+
+def test_tail_bound_reuses_certificate_exactly():
+    refused = 0
+    for sigma, tau in TAIL_REGIMES:
+        params = SpectralParams(sigma, tau)
+        for p_max in TAIL_P_MAX:
+            try:
+                want = _tail_bound_inline(params, p_max)
+            except CertificateUnavailable:
+                refused += 1
+                with pytest.raises(CertificateUnavailable):
+                    _product_tail_bound(params, p_max)
+                continue
+            got = _product_tail_bound(params, p_max)
+            assert got.hex() == want.hex(), (sigma, tau, p_max)
+    # both branches must be exercised
+    assert 0 < refused < len(TAIL_REGIMES) * len(TAIL_P_MAX)
 
 
 def _lambda_of_factorize(n, table):
@@ -193,6 +228,11 @@ class TestEnumerate:
 
 
 class TestCounting:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite_t(self, table_small, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            counting_mu(table_small, t)
+
     def test_zero_below_inverse_top(self, table_small):
         r = counting_mu(table_small, 0.9 / table_small.base_product)
         assert r.mu == 0
@@ -228,8 +268,6 @@ class TestCounting:
     def test_uncertified_regime_still_enumerates(self):
         # rho = 0.15 at p_max = 10 admits no tail certificate, but the
         # product formula itself must keep working
-        from lcmspectra import CertificateUnavailable
-
         pars = SpectralParams(0.425, 1.0)
         table = build_table(pars, 10, target_floor=0.2)
         assert math.isinf(table.tail_exponent_bound)
@@ -343,7 +381,6 @@ class TestFlatTable:
             assert got.truncation_order == ref.truncation_order
             assert got.eigenvalues.size == ref.eigenvalues.size
             np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-13, atol=0)
-            assert got.top_overlap == ref.top_overlap
 
     def test_index_of(self, table_small):
         assert table_small.index_of(2) == 0

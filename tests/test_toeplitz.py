@@ -24,13 +24,13 @@ from lcmspectra.toeplitz import _toeplitz_sparse, _trace_power_even
 
 class TestBuildToeplitz:
     def test_divisibility_pattern(self):
-        T = build_toeplitz(6, 0.25).values
+        T = build_toeplitz(6, 0.25)
         assert T[3, 1] == pytest.approx(2.0**-0.25, rel=1e-15)  # entry (4, 2)
         assert T[2, 1] == 0.0  # entry (3, 2)
         assert np.allclose(np.diag(T), 1.0)
 
     def test_first_column(self):
-        T = build_toeplitz(8, 0.7).values
+        T = build_toeplitz(8, 0.7)
         n = np.arange(1, 9, dtype=float)
         assert np.allclose(T[:, 0], n**-0.7, rtol=1e-15)
 
@@ -41,7 +41,7 @@ class TestBuildToeplitz:
         for m in range(1, N + 1):
             mult = np.arange(m, N + 1, m)
             oracle[mult - 1, m - 1] = (mult / m) ** (-sigma)
-        assert np.array_equal(build_toeplitz(N, sigma).values, oracle)
+        assert np.array_equal(build_toeplitz(N, sigma), oracle)
 
 
 class TestGram:
@@ -53,32 +53,32 @@ class TestGram:
             for r in range(1, 5)
             if r % 2 == 0 and r % 4 == 0
         )
-        G = gram_via_formula(4, sigma).values
+        G = gram_via_formula(4, sigma)
         assert G[1, 3] == pytest.approx(oracle, rel=1e-14)
         assert G[1, 3] == pytest.approx(2.0**-0.25, rel=1e-14)
 
     def test_zero_beyond_lcm_range(self):
-        G = gram_via_formula(4, 0.25).values
+        G = gram_via_formula(4, 0.25)
         assert G[2, 3] == 0.0  # [3, 4] = 12 > 4
 
     def test_last_diagonal_is_one(self):
         N = 7
-        G = gram_via_formula(N, 0.25).values
+        G = gram_via_formula(N, 0.25)
         assert G[N - 1, N - 1] == pytest.approx(1.0, rel=1e-15)  # F(1) = 1
 
     @pytest.mark.parametrize("N", [16, 64, 256])
     @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.25, 0.4])
     def test_matches_direct_product(self, N, sigma):
-        G = gram_via_formula(N, sigma).values
-        T = build_toeplitz(N, sigma).values
+        G = gram_via_formula(N, sigma)
+        T = build_toeplitz(N, sigma)
         direct = T.T @ T
         scale = np.abs(direct) + np.abs(direct).max() * 1e-3
         assert np.max(np.abs(G - direct) / scale) < 1e-10
 
     def test_eigenvalues_match_direct_product(self):
         N, sigma = 128, 0.25
-        w1 = np.linalg.eigvalsh(gram_via_formula(N, sigma).values)
-        T = build_toeplitz(N, sigma).values
+        w1 = np.linalg.eigvalsh(gram_via_formula(N, sigma))
+        T = build_toeplitz(N, sigma)
         w2 = np.linalg.eigvalsh(T.T @ T)
         assert np.max(np.abs(w1 - w2)) < 1e-10 * max(1.0, w2.max())
 
@@ -96,14 +96,14 @@ class TestRescaled:
         vals = rescaled_singular_values(N, sigma)
         assert np.all(vals >= 0.0)
         rho = 1 - 2 * sigma
-        frob_sq = float(np.sum(build_toeplitz(N, sigma).values ** 2))
+        frob_sq = float(np.sum(build_toeplitz(N, sigma) ** 2))
         assert vals[0] <= rho * N ** (-rho) * frob_sq + 1e-12
 
     @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.25, 0.4])
     @pytest.mark.parametrize("N", [1, 2, 64, 256, 2048])
     def test_matches_formula_gram_eigensolve(self, N, sigma):
         rho = 1 - 2 * sigma
-        w = np.linalg.eigvalsh(gram_via_formula(N, sigma).values)[::-1]
+        w = np.linalg.eigvalsh(gram_via_formula(N, sigma))[::-1]
         ref = rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
         got = rescaled_singular_values(N, sigma)
         assert got.shape == (N,)
@@ -148,7 +148,7 @@ class TestTopRescaledSparse:
     @pytest.mark.parametrize("N", [1, 64, 2048])
     def test_sparse_pattern_is_dense_truncation(self, N):
         T = _toeplitz_sparse(N, 0.25).toarray()
-        assert np.array_equal(T, build_toeplitz(N, 0.25).values)
+        assert np.array_equal(T, build_toeplitz(N, 0.25))
 
     @pytest.mark.parametrize("N", [64, 2048])
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
@@ -169,17 +169,17 @@ class TestTopRescaledSparse:
 
 class TestHadamard:
     def test_corner_is_one(self):
-        H = hadamard_factor(100, 8, 0.25).values
+        H = hadamard_factor(100, 8, 0.25)
         assert H[0, 0] == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_beyond_n(self):
-        H = hadamard_factor(10, 8, 0.25).values
+        H = hadamard_factor(10, 8, 0.25)
         assert H[6, 7] == 0.0  # [7, 8] = 56 > 10
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
     def test_entrywise_convergence_to_one(self, sigma):
         devs = [
-            np.abs(hadamard_factor(N, 10, sigma).values - 1.0).max()
+            np.abs(hadamard_factor(N, 10, sigma) - 1.0).max()
             for N in (100, 1000, 10_000)
         ]
         assert devs[0] > devs[1] > devs[2]
@@ -187,8 +187,8 @@ class TestHadamard:
 
     def test_uniform_bound_stable_under_doubling(self):
         for sigma in (0.0, 0.25):
-            c1 = np.abs(hadamard_factor(10_000, 128, sigma).values).max()
-            c2 = np.abs(hadamard_factor(20_000, 128, sigma).values).max()
+            c1 = np.abs(hadamard_factor(10_000, 128, sigma)).max()
+            c2 = np.abs(hadamard_factor(20_000, 128, sigma)).max()
             assert c2 <= 1.1 * c1
             assert c1 <= 1.1 * c2
             assert c1 < 10.0
@@ -198,7 +198,7 @@ class TestSigmaAboveOne:
     def test_gram_recovers_zeta_factorisation(self):
         # at sigma = 2 the Gram matrix approximates zeta(4) E(2, 4)
         N = 512
-        G = gram_via_formula(N, 2.0).values
+        G = gram_via_formula(N, 2.0)
         z4 = zeta_real(4.0)
         assert abs(G[0, 0] - z4) < 1e-3 * z4  # F(N) vs zeta(4), 0.1%
         top_gram = np.linalg.eigvalsh(G)[-1]
@@ -210,7 +210,7 @@ class TestSchatten:
     def test_q2_is_frobenius(self):
         N, M, sigma = 32, 48, 0.0
         E = entry_matrix(SpectralParams(sigma, 1.0), M)
-        G = hadamard_factor(N, M, sigma).values
+        G = hadamard_factor(N, M, sigma)
         oracle = math.sqrt(float(np.sum((E * (G - 1.0)) ** 2)))
         assert schatten_diff(N, M, 2, sigma) == pytest.approx(oracle, rel=1e-13)
 
