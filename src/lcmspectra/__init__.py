@@ -83,7 +83,6 @@ from .toeplitz import (
     hadamard_factor,
     rescaled_singular_values,
     schatten_diff,
-    top_rescaled_singular_value,
 )
 
 __version__ = "0.1.0"

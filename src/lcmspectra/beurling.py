@@ -81,10 +81,13 @@ def beurling_integers(
 
     max_count caps the number of generator multisets, the empty one
     included, i.e. the products before merging; it is checked before each
-    level is allocated, so memory stays O(max_count).  x must be finite.
+    level is allocated, so memory stays O(max_count); it must be >= 1.
+    x must be finite.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
+    if max_count < 1:
+        raise ValueError(f"max_count must be >= 1, got {max_count}")
     if x < 1.0:
         return np.empty(0)
     gens = system.generators

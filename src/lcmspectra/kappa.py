@@ -69,11 +69,9 @@ class KappaComputation:
     s: float
     p_max: int
     g_factors: np.ndarray
-    g: float
     kappa: float
     uncertainty: float
     tail_exponent: float
-    tail_estimate: float
     extrapolated: bool
 
 
@@ -93,6 +91,9 @@ def kappa_numeric(
     tails (rho < 1) a two-point geometric extrapolation in the cutoff
     refines the central value; the reported uncertainty stays at the
     conservative fitted bound.
+
+    p_max and target_floor apply only when table is None; a given table
+    must have been built for params.
     """
     params.require_regime()
     s = 1.0 / params.rho
@@ -100,6 +101,8 @@ def kappa_numeric(
         extrapolate = params.rho < 1.0
     if table is None:
         table = build_table(params, p_max, target_floor)
+    elif table.params != params:
+        raise ValueError(f"table was built for {table.params}, not {params}")
     p_max = table.p_max
     primes = table.primes
 
@@ -134,11 +137,9 @@ def kappa_numeric(
         s=s,
         p_max=p_max,
         g_factors=g,
-        g=math.exp(log_g + correction),
         kappa=kappa,
         uncertainty=uncertainty,
         tail_exponent=theta,
-        tail_estimate=tail,
         extrapolated=bool(extrapolate),
     )
 

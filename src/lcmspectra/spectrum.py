@@ -384,10 +384,12 @@ def counting_mu(
 
     The cutoff comes from the envelope lambda_n <= prefactor * n^-(rho-eps):
     indices beyond it cannot qualify, indices below it are enumerated and
-    counted directly.
+    counted directly.  max_enumeration must be >= 1.
     """
     if not (0.0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
+    if max_enumeration < 1:
+        raise ValueError(f"max_enumeration must be >= 1, got {max_enumeration}")
     env = table.envelope()
     if not math.isfinite(env.prefactor):
         raise CertificateUnavailable(

@@ -1,16 +1,16 @@
 """Truncated multiplicative Toeplitz matrices with symbol coefficients n^(-sigma).
 
 The N x N truncation T_N has entry (n, m) = (n/m)^(-sigma) when m | n and
-0 otherwise.  T_N is sparse (about N ln N nonzeros), so its Gram matrix
-T_N^T T_N comes from one sparse product: densified, that is the dense
-route to every singular value (N = 2048), and as a Lanczos operator it
-gives the top value at N ~ 10^6.  The Gram matrix also collapses to a
-divisor sum, entry (n, m) = n^s m^s [n,m]^(-2s) F(N/[n,m]) with the
-truncated power sum F; that closed form is kept as the independent
-oracle.  Rescaled by rho N^(-rho) (tau = 1 context, rho = 1 - 2 sigma) the
-squared singular values track the eigenvalues of E(sigma, 1); the
-Hadamard factor G_N measures the finite-N distortion and the Schatten
-diagnostics quantify its decay.
+0 otherwise.  T_N is sparse (about N ln N nonzeros), so the top k
+singular values come from Lanczos on the operator x -> T_N^T (T_N x),
+with no N x N matrix, up to N ~ 10^6; only a request for all N values
+densifies the Gram matrix T_N^T T_N.  The Gram matrix also collapses to
+a divisor sum, entry (n, m) = n^s m^s [n,m]^(-2s) F(N/[n,m]) with the
+truncated power sum F; that closed form and the dense T_N are kept as
+the independent oracles.  Rescaled by rho N^(-rho) (tau = 1 context,
+rho = 1 - 2 sigma) the squared singular values track the eigenvalues of
+E(sigma, 1); the Hadamard factor G_N measures the finite-N distortion and
+the Schatten diagnostics quantify its decay.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "build_toeplitz",
     "gram_via_formula",
     "rescaled_singular_values",
-    "top_rescaled_singular_value",
     "hadamard_factor",
     "schatten_diff",
 ]
@@ -59,7 +58,7 @@ def _toeplitz_csc(N: int, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _toeplitz_sparse(N: int, sigma: float):
-    """T_N as a scipy CSC matrix, the one construction of both rescaled routes."""
+    """T_N as a scipy CSC matrix, the operator behind rescaled_singular_values."""
     pattern = _toeplitz_csc(N, sigma)
     # imported here so that `import lcmspectra` stays numpy-only
     from scipy.sparse import csc_matrix
@@ -79,9 +78,9 @@ def gram_via_formula(N: int, sigma: float) -> np.ndarray:
     """Dense N x N array T_N^T T_N from the divisor-sum formula, O(N^2 log N).
 
     Entries with [n, m] > N vanish (the divisor sum is empty).  This is the
-    independent oracle for the sparse product T_N^T T_N that
-    rescaled_singular_values densifies; it builds several N x N grids and
-    is not on that route.
+    independent oracle for the sparse product T_N^T T_N behind
+    rescaled_singular_values; it builds several N x N grids and is not on
+    that route.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -96,42 +95,36 @@ def gram_via_formula(N: int, sigma: float) -> np.ndarray:
     )
 
 
-def rescaled_singular_values(N: int, sigma: float) -> np.ndarray:
-    """rho N^(-rho) s_n^2 for the truncation, descending (rho = 1 - 2 sigma).
+def rescaled_singular_values(N: int, sigma: float, k: int = 1) -> np.ndarray:
+    """The k largest rho N^(-rho) s_n(T_N)^2, descending (rho = 1 - 2 sigma).
 
     These approach the eigenvalues of E(sigma, 1) as N grows, uniformly in
-    the index, but slowly: at sigma = 1/4 the top value is still 20.2% below
-    lambda_1 at N = 2048.  The Gram matrix is the sparse product T_N^T T_N
-    (about 1% of its entries are nonzero at N = 2048), densified for one
-    O(N^3) symmetric eigensolve.  For the top value at larger N use
-    top_rescaled_singular_value, which measures 5.8% at N = 2^17 and 3.6% at
-    N = 2^19.
+    the index, but slowly: at sigma = 1/4 the top value is 20.2% below
+    lambda_1 at N = 2048, 5.8% at N = 2^17 and 3.6% at N = 2^19.  Lanczos
+    (ARPACK, via scipy) runs on T_N^T T_N as the operator x -> T^T (T x) of
+    the sparse T_N; memory and the cost of one step grow like N log N, so
+    N = 2^19 takes seconds.  Its start vector and restarts come from a
+    generator with a fixed seed, so reruns are byte-identical.  The start
+    must not be symmetric: at sigma = 0, T_N commutes with index swaps
+    (two primes in (N/2, N], for one), and from ones / sqrt(N) Lanczos
+    never sees the eigenvectors that such a swap does not fix (an error of
+    1.6% of the top value at N = 28, k = 10).  ARPACK cannot return k >= N
+    values, so then the Gram matrix is densified for one O(N^3) eigensolve
+    and all N values are returned.
     """
     rho = _rescaling_rho(sigma)
     T = _toeplitz_sparse(N, sigma)
-    w = np.linalg.eigvalsh((T.T @ T).toarray())[::-1]
-    return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
-
-
-def top_rescaled_singular_value(N: int, sigma: float) -> float:
-    """rho N^(-rho) s_1(T_N)^2 from the sparse T_N, without an N x N matrix.
-
-    Lanczos (ARPACK, via scipy) on T_N^T T_N as a linear operator, started
-    from the fixed vector ones / sqrt(N) so that reruns are byte-identical.
-    Memory and the cost of one Lanczos step grow like N log N; N = 2^19
-    takes seconds.  Agrees with rescaled_singular_values(N, sigma)[0] to
-    rounding.
-    """
-    rho = _rescaling_rho(sigma)
-    T = _toeplitz_sparse(N, sigma)
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    if N == 1:  # T_1 = [1]; ARPACK needs k = 1 < N
-        top = 1.0
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k >= N:
+        w = np.linalg.eigvalsh((T.T @ T).toarray())
     else:
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
         gram = LinearOperator((N, N), matvec=lambda x: T.T @ (T @ x), dtype=float)
-        top = eigsh(gram, k=1, which="LA", v0=np.full(N, N**-0.5))[0][0]
-    return rho * float(N) ** (-rho) * float(top)
+        w = eigsh(gram, k=k, which="LA", rng=0, return_eigenvectors=False)
+    w = np.sort(w)[::-1]
+    return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
 
 
 def hadamard_factor(N: int, M: int, sigma: float) -> np.ndarray:

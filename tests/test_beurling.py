@@ -216,6 +216,14 @@ class TestAgainstHeap:
             beurling_integers(system, 1000.5, max_count=n - 1)
         assert err.value.partial == n - 1
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_cap_below_one(self, cap):
+        # even x < 1, which needs no enumeration, is refused: the cap is invalid
+        system = BeurlingSystem(np.array([2.0, 3.0]), P25)
+        for x in (0.5, 100.0):
+            with pytest.raises(ValueError, match="max_count must be >= 1"):
+                beurling_integers(system, x, max_count=cap)
+
 
 class TestSpectralSystem:
     @pytest.mark.parametrize("x", [1.0, 10.0, 123.4, 1000.0, 1999.5, 5e4])

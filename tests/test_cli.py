@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from lcmspectra import gram_via_formula
 from lcmspectra.cli import main
 
 
@@ -153,6 +154,33 @@ class TestOtherCommands:
         assert lines[1] == "rank,rescaled_sv_sq,lambda_product,rel_gap"
         assert len(lines) == 5
 
+    def test_toeplitz_compare_matches_formula_gram(self, capsys):
+        code, out, _ = run(
+            ["toeplitz-compare", "--sigma", "0.25", "--n", "2048", "--top", "10",
+             "--pmax", "20000"],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "tau=1.0" in lines[0].split()
+        got = np.array([float(l.split(",")[1]) for l in lines[2:]])
+        w = np.linalg.eigvalsh(gram_via_formula(2048, 0.25))[::-1][:10]
+        ref = 0.5 * 2048**-0.5 * w
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+    def test_toeplitz_compare_beyond_dense_reach(self, capsys):
+        # N = 2^16 would need a 32 GB dense Gram matrix
+        code, out, _ = run(
+            ["toeplitz-compare", "--sigma", "0.25", "--n", "65536", "--top", "3",
+             "--pmax", "20000"],
+            capsys,
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+        vals = [float(r[1]) for r in rows]
+        assert vals == sorted(vals, reverse=True) and vals[-1] > 0.0
+
 
 class TestVerify:
     def test_passes_and_prints(self, capsys):
@@ -190,6 +218,16 @@ class TestExitCodes:
         assert code == 3
         assert "certificate" in err
 
+    def test_spectrum_pmax_below_nmax_is_three(self, capsys):
+        code, out, err = run(
+            ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "30", "--pmax", "5"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: certificate unavailable")
+        assert "p_max >= n_max" in err
+        assert "Traceback" not in err
+
 
 LOCAL = ["local-eigs", "--sigma", "0.25", "--tau", "1.5"]
 BAD_INPUTS = {
@@ -221,6 +259,10 @@ BAD_INPUTS = {
                            "--pmax", "0"],
     "beurling-pmax-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
                            "--pmax", "0"],
+    "counting-max-enum-negative": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "100",
+                                   "--pmax", "1000", "--max-enum=-1"],
+    "beurling-max-enum-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
+                               "--pmax", "1000", "--max-enum", "0"],
     "local-a-inf": LOCAL + ["--p", "3", "--a", "inf"],
 }
 

@@ -112,6 +112,13 @@ class TestKappaNumeric:
         with pytest.raises(InvalidRegime):
             kappa_numeric(SpectralParams(1.0, 1.0), p_max=100)
 
+    def test_rejects_table_for_other_params(self):
+        table = build_table(SpectralParams(0.25, 1.5), 2_000)
+        with pytest.raises(ValueError, match="table was built for"):
+            kappa_numeric(SpectralParams(0.25, 1.0), table=table)
+        same = kappa_numeric(SpectralParams(0.25, 1.5), table=table)
+        assert same.kappa == kappa_numeric(SpectralParams(0.25, 1.5), p_max=2_000).kappa
+
     def test_counting_slope_consistency(self, table_counting):
         from lcmspectra import counting_mu
 

@@ -233,6 +233,12 @@ class TestCounting:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             counting_mu(table_small, t)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_max_enumeration_below_one(self, table_small, cap):
+        for t in (0.9 / table_small.base_product, 200.0):
+            with pytest.raises(ValueError, match="max_enumeration must be >= 1"):
+                counting_mu(table_small, t, max_enumeration=cap)
+
     def test_zero_below_inverse_top(self, table_small):
         r = counting_mu(table_small, 0.9 / table_small.base_product)
         assert r.mu == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -16,7 +17,6 @@ from lcmspectra import (
     hadamard_factor,
     rescaled_singular_values,
     schatten_diff,
-    top_rescaled_singular_value,
     zeta_real,
 )
 from lcmspectra.toeplitz import _toeplitz_sparse, _trace_power_even
@@ -83,6 +83,14 @@ class TestGram:
         assert np.max(np.abs(w1 - w2)) < 1e-10 * max(1.0, w2.max())
 
 
+@functools.lru_cache(maxsize=None)
+def formula_reference(N, sigma):
+    """Rescaled eigvalsh of the divisor-sum Gram matrix, descending: the oracle."""
+    rho = 1 - 2 * sigma
+    w = np.linalg.eigvalsh(gram_via_formula(N, sigma))[::-1]
+    return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
+
+
 class TestRescaled:
     def test_one_by_one(self):
         assert rescaled_singular_values(1, 0.25).tolist() == [0.5]
@@ -93,7 +101,8 @@ class TestRescaled:
 
     def test_nonnegative_and_bounded(self):
         sigma, N = 0.25, 64
-        vals = rescaled_singular_values(N, sigma)
+        vals = rescaled_singular_values(N, sigma, N)
+        assert vals.shape == (N,)
         assert np.all(vals >= 0.0)
         rho = 1 - 2 * sigma
         frob_sq = float(np.sum(build_toeplitz(N, sigma) ** 2))
@@ -102,21 +111,36 @@ class TestRescaled:
     @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.25, 0.4])
     @pytest.mark.parametrize("N", [1, 2, 64, 256, 2048])
     def test_matches_formula_gram_eigensolve(self, N, sigma):
-        rho = 1 - 2 * sigma
-        w = np.linalg.eigvalsh(gram_via_formula(N, sigma))[::-1]
-        ref = rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
-        got = rescaled_singular_values(N, sigma)
+        # k = N: every value, on the dense branch
+        ref = formula_reference(N, sigma)
+        got = rescaled_singular_values(N, sigma, N)
         assert got.shape == (N,)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * ref[0])
 
+    @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.25, 0.4])
+    @pytest.mark.parametrize("N", [1, 2, 64, 256, 2048])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_top_k_matches_formula_gram_eigensolve(self, k, N, sigma):
+        # k = min(k, N) < N runs Lanczos, k = N the dense branch
+        k = min(k, N)
+        ref = formula_reference(N, sigma)
+        got = rescaled_singular_values(N, sigma, k)
+        assert got.shape == (k,)
+        np.testing.assert_allclose(got, ref[:k], rtol=0, atol=1e-12 * ref[0])
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 17])
+    def test_k_beyond_n_returns_all_n(self, N):
+        got = rescaled_singular_values(N, 0.25, N + 1)
+        assert got.tobytes() == rescaled_singular_values(N, 0.25, N).tobytes()
+
     def test_reruns_identical(self):
-        a = rescaled_singular_values(2048, 0.25)
-        assert a.tobytes() == rescaled_singular_values(2048, 0.25).tobytes()
+        a = rescaled_singular_values(2048, 0.25, 2048)
+        assert a.tobytes() == rescaled_singular_values(2048, 0.25, 2048).tobytes()
 
 
 TOEPLITZ_CALLS = {
     "rescaled": lambda s: rescaled_singular_values(8, s),
-    "top-sparse": lambda s: top_rescaled_singular_value(8, s),
+    "top-sparse": lambda s: rescaled_singular_values(8, s, 3),
     "hadamard": lambda s: hadamard_factor(8, 4, s),
     "schatten": lambda s: schatten_diff(8, 4, 4, s),
 }
@@ -130,7 +154,7 @@ def test_rescaling_needs_finite_sigma_below_half(name, sigma):
 
 
 def test_import_leaves_scipy_unloaded():
-    # the sparse routes import scipy inside their functions, so that the
+    # the sparse route imports scipy inside its functions, so that the
     # package itself, and every path that never touches T_N, stays numpy-only
     src = os.path.dirname(os.path.dirname(lcmspectra.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -153,18 +177,34 @@ class TestTopRescaledSparse:
     @pytest.mark.parametrize("N", [64, 2048])
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
     def test_matches_dense_gram_eigensolve(self, N, sigma):
-        dense = rescaled_singular_values(N, sigma)[0]
-        assert top_rescaled_singular_value(N, sigma) == pytest.approx(dense, rel=1e-10)
+        # Lanczos top value (k = 1) against the dense branch (k = N)
+        dense = rescaled_singular_values(N, sigma, N)[0]
+        (top,) = rescaled_singular_values(N, sigma)
+        assert top == pytest.approx(dense, rel=1e-10)
 
     def test_reruns_identical(self):
-        first = top_rescaled_singular_value(4096, 0.25)
-        assert top_rescaled_singular_value(4096, 0.25) == first
+        first = rescaled_singular_values(4096, 0.25, 10)
+        assert first.shape == (10,)
+        assert rescaled_singular_values(4096, 0.25, 10).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("N", [16, 18, 28, 52, 115])
+    def test_index_symmetries_at_sigma_zero(self, N):
+        # at sigma = 0, T_N commutes with index swaps (primes in (N/2, N]);
+        # a start vector fixed by them misses whole eigenspaces (a symmetric
+        # start was off by 1.6% at N = 28) and restarts made reruns differ
+        got = rescaled_singular_values(N, 0.0, 10)
+        ref = formula_reference(N, 0.0)
+        np.testing.assert_allclose(got, ref[:10], rtol=0, atol=1e-12 * ref[0])
+        assert rescaled_singular_values(N, 0.0, 10).tobytes() == got.tobytes()
 
     def test_rejects_sigma_half_and_empty_truncation(self):
         with pytest.raises(InvalidRegime):
-            top_rescaled_singular_value(8, 0.5)
+            rescaled_singular_values(8, 0.5)
         with pytest.raises(ValueError):
-            top_rescaled_singular_value(0, 0.25)
+            rescaled_singular_values(0, 0.25)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                rescaled_singular_values(8, 0.25, k)
 
 
 class TestHadamard:
