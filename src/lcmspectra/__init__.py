@@ -10,14 +10,9 @@ generalized prime system.
 """
 
 from .arith import (
-    FactoredIndex,
-    PowerSumTable,
     SpectralParams,
-    entry_E,
     factorize,
-    lcm,
     lcm_grid,
-    partial_power_sum_F,
     primes_up_to,
     smallest_prime_factor_table,
     zeta_real,

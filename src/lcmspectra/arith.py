@@ -1,8 +1,10 @@
-"""Prime utilities, LCM-matrix entries, truncated power sums, real zeta.
+"""Exponent pairs, primes, the LCM grid and real zeta.
 
 Foundation layer for the rest of the toolkit.  Everything here is a pure
-function of its inputs; the power-sum prefix table is immutable after
-construction, so all of it is safe to call concurrently.
+function of its inputs, so all of it is safe to call concurrently.  The
+matrix entries themselves are spectrum.entry_matrix, and the truncated
+power sum behind the Toeplitz Gram lives in toeplitz; factorize is trial
+division, kept as the independent oracle of the sieve-based code.
 """
 
 from __future__ import annotations
@@ -16,15 +18,10 @@ from .errors import InvalidRegime
 
 __all__ = [
     "SpectralParams",
-    "FactoredIndex",
     "primes_up_to",
     "smallest_prime_factor_table",
     "factorize",
-    "lcm",
     "lcm_grid",
-    "entry_E",
-    "partial_power_sum_F",
-    "PowerSumTable",
     "zeta_real",
 ]
 
@@ -60,28 +57,6 @@ class SpectralParams:
                 f"(sigma={self.sigma}, tau={self.tau}) violates "
                 "finite rho > 0, tau + rho > 1, tau > 0"
             )
-
-
-@dataclass(frozen=True)
-class FactoredIndex:
-    """Ordered prime factorisation as (prime, exponent) pairs; () encodes 1."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for p, k in self.factors:
-            if k < 1:
-                raise ValueError(f"exponent {k} of prime {p} must be positive")
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, k in self.factors:
-            out *= p**k
-        return out
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
 
 def _sieve_flags(limit: int) -> np.ndarray:
@@ -140,8 +115,9 @@ def smallest_prime_factor_table(limit: int) -> np.ndarray:
     return spf
 
 
-def factorize(n: int) -> FactoredIndex:
-    """Exact prime factorisation by trial division (2, 3, then 6k +- 1)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n, ascending, by trial division
+    (2, 3, then 6k +- 1); () for n = 1."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     m = int(n)
@@ -165,69 +141,13 @@ def factorize(n: int) -> FactoredIndex:
         f += 6
     if m > 1:
         out.append((m, 1))
-    return FactoredIndex(tuple(out))
-
-
-def lcm(n: int, m: int) -> int:
-    """Least common multiple [n, m]; Python integers cannot overflow."""
-    if n < 1 or m < 1:
-        raise ValueError("lcm expects positive integers")
-    return math.lcm(int(n), int(m))
+    return tuple(out)
 
 
 def lcm_grid(M: int) -> np.ndarray:
     """M x M integer array of [n, m] for 1 <= n, m <= M."""
     n = np.arange(1, M + 1)
     return (n[:, None] // np.gcd.outer(n, n)) * n[None, :]
-
-
-def entry_E(n: int, m: int, params: SpectralParams) -> float:
-    """Matrix entry n^sigma m^sigma / [n,m]^tau, evaluated in log space.
-
-    The log-space route keeps entries finite across many orders of
-    magnitude of n, m.
-    """
-    ell = lcm(n, m)
-    return math.exp(
-        params.sigma * (math.log(n) + math.log(m)) - params.tau * math.log(ell)
-    )
-
-
-def partial_power_sum_F(x: float, sigma: float) -> float:
-    """F(x) = sum_{n <= x} n^(-2 sigma); zero when x < 1."""
-    if x < 1.0:
-        return 0.0
-    top = int(math.floor(x))
-    powers = np.arange(1, top + 1, dtype=float) ** (-2.0 * sigma)
-    return math.fsum(powers)
-
-
-class PowerSumTable:
-    """Prefix table serving F(x) = sum_{n <= x} n^(-2 sigma) in O(1).
-
-    Built once per sigma; Gram assembly issues O(N^2) queries against it.
-    """
-
-    def __init__(self, sigma: float, x_max: int):
-        if x_max < 1:
-            raise ValueError("x_max must be >= 1")
-        self.sigma = float(sigma)
-        self.x_max = int(x_max)
-        powers = np.arange(1, self.x_max + 1, dtype=float) ** (-2.0 * self.sigma)
-        self._prefix = np.concatenate([[0.0], np.cumsum(powers)])
-
-    def at_int(self, k):
-        """F(k) for integer k (scalar or array); k < 1 yields 0."""
-        idx = np.asarray(k, dtype=np.int64)
-        if np.any(idx > self.x_max):
-            raise ValueError(f"query beyond table range x_max={self.x_max}")
-        result = self._prefix[np.clip(idx, 0, self.x_max)]
-        return float(result) if np.isscalar(k) else result
-
-    def __call__(self, x):
-        """F(x) for real x; F is a step function, constant between integers."""
-        idx = np.floor(np.asarray(x, dtype=float)).astype(np.int64)
-        return self.at_int(idx if not np.isscalar(x) else int(idx))
 
 
 # Bernoulli corrections through B6 = 1/42; see zeta_real.

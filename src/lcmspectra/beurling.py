@@ -100,8 +100,7 @@ def beurling_integers(
         total += int(counts.sum())
         if total > max_count:
             raise EnumerationCapExceeded(
-                f"semigroup enumeration exceeded max_count={max_count} below x={x}",
-                partial=max_count,
+                f"semigroup enumeration exceeded max_count={max_count} below x={x}"
             )
         parent = np.repeat(np.arange(v.size), counts)
         first = np.cumsum(counts) - counts

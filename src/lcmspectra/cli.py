@@ -36,12 +36,7 @@ from .errors import (
     VerificationFailed,
 )
 from .kappa import kappa_closed_form, kappa_numeric
-from .local import (
-    best_envelope,
-    corner_quadratic_form,
-    local_spectrum,
-    sandwich_envelope,
-)
+from .local import best_envelope, corner_quadratic_form, local_spectrum
 from .spectrum import (
     build_table,
     counting_mu,
@@ -126,11 +121,7 @@ def _table(args, p_max: int):
 def cmd_local_eigs(args) -> None:
     params = SpectralParams(args.sigma, args.tau)
     spec = local_spectrum(args.p, params, args.floor)
-    env = (
-        sandwich_envelope(args.p, params, args.a)
-        if args.a is not None
-        else best_envelope(args.p, params)
-    )
+    env = best_envelope(args.p, params)
     k = np.arange(spec.eigenvalues.size)
     rows = [
         [int(kk), float(lam), float(env.lower(kk)), float(env.upper(kk))]
@@ -182,9 +173,7 @@ def cmd_counting(args) -> None:
 def cmd_kappa(args) -> None:
     params = SpectralParams(args.sigma, args.tau)
     table = _table(args, args.pmax)
-    comp = kappa_numeric(
-        params, extrapolate=False if args.no_extrapolate else None, table=table
-    )
+    comp = kappa_numeric(params, table=table)
     try:
         closed = kappa_closed_form(params)
     except NoClosedForm:
@@ -325,14 +314,17 @@ def cmd_verify(args) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, sigma=True, tau=True):
+def _add_common(sp, sigma=True, tau=True, floor=True):
+    """Shared options; --floor only for commands that build a table or a
+    local spectrum."""
     if sigma:
         sp.add_argument("--sigma", type=float, required=True)
     if tau:
         sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--out", default=None, help="output path ('-' or omit for stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--floor", type=float, default=1e-14)
+    if floor:
+        sp.add_argument("--floor", type=float, default=1e-14)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("local-eigs", help="eigenvalues of one prime-local block")
     _add_common(sp)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--a", type=float, default=None, help="envelope mixing parameter")
     sp.set_defaults(func=cmd_local_eigs)
 
     sp = sub.add_parser("spectrum", help="sorted global eigenvalues lambda_n")
@@ -366,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kappa", help="asymptotic constant kappa(sigma, tau)")
     _add_common(sp)
     sp.add_argument("--pmax", type=int, default=1_000_000)
-    sp.add_argument("--no-extrapolate", action="store_true")
     sp.set_defaults(func=cmd_kappa, format="json")
 
     sp = sub.add_parser(
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_toeplitz_compare, tau=1.0)
 
     sp = sub.add_parser("schatten", help="truncated Schatten norm of the distortion")
-    _add_common(sp, tau=False)
+    _add_common(sp, tau=False, floor=False)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--m", type=int, default=256)
     sp.add_argument(
@@ -404,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_beurling)
 
     sp = sub.add_parser("verify", help="run the exact-identity self checks")
-    _add_common(sp, sigma=False, tau=False)
+    _add_common(sp, sigma=False, tau=False, floor=False)
     sp.add_argument("--sigma", type=float, default=0.25)
     sp.add_argument("--tau", type=float, default=1.5)
     sp.add_argument("--seed", type=int, default=1234)

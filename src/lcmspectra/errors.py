@@ -26,7 +26,8 @@ class CertificateUnavailable(RuntimeError):
 
 
 class EigensolverError(RuntimeError):
-    """dqd sweeps failed to converge, or produced an inconsistent spectrum."""
+    """dqd sweeps or Lanczos (ARPACK) failed to converge, or a spectrum came
+    out inconsistent."""
 
 
 class PrimeOutOfRange(LookupError):
@@ -40,17 +41,9 @@ class FloorTooHigh(LookupError):
 class EnumerationInfeasible(RuntimeError):
     """A query needs more enumeration than the configured limits allow."""
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 class EnumerationCapExceeded(EnumerationInfeasible):
-    """Semigroup enumeration hit the memory cap; carries the partial count."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message, required=None)
-        self.partial = partial
+    """Semigroup enumeration hit the memory cap; the message states the cap."""
 
 
 class VerificationFailed(RuntimeError):

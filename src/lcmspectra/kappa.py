@@ -3,8 +3,9 @@
 The ordered eigenvalues obey lambda_n ~ kappa / n^rho, with
 kappa = g(1/rho)^(-rho) for the Euler product
 g(s) = prod_p (1 - p^(-rho s)) sum_k lambda_k(E_p)^s.  This module
-evaluates the product numerically with a fitted tail estimate and
-provides the two closed-form cases (rho = 1 and rho = 1/2).
+evaluates the product over the primes of a prebuilt spectral table, with
+a fitted tail estimate, and provides the two closed-form cases (rho = 1
+and rho = 1/2); g_p_at evaluates one factor from a local spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .arith import SpectralParams, zeta_real
 from .errors import InvalidRegime, NoClosedForm
 from .local import DEFAULT_FLOOR, LocalSpectrum, local_spectrum
-from .spectrum import GlobalSpectrumTable, build_table
+from .spectrum import GlobalSpectrumTable
 
 __all__ = [
     "KappaComputation",
@@ -27,7 +28,6 @@ __all__ = [
     "kappa_closed_form",
 ]
 
-DEFAULT_P_MAX = 1_000_000
 _TERM_CUT = 1e-16
 _TAIL_SAFETY = 10.0
 
@@ -75,33 +75,24 @@ class KappaComputation:
     extrapolated: bool
 
 
-def kappa_numeric(
-    params: SpectralParams,
-    p_max: int = DEFAULT_P_MAX,
-    target_floor: float = DEFAULT_FLOOR,
-    extrapolate: bool | None = None,
-    table: GlobalSpectrumTable | None = None,
-) -> KappaComputation:
-    """kappa = (prod_{p <= p_max} g_p(1/rho))^(-rho) with a tail estimate.
+def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> KappaComputation:
+    """kappa = (prod_{p <= p_max} g_p(1/rho))^(-rho) over the table's primes,
+    with a tail estimate.
 
     The per-prime factors decay like p^(-theta) with
     theta = min(tau + rho, 2, 1 + tau/2); the tail constant is fitted on
     the top decade of computed primes with a 10x safety factor and is NOT
     rigorous (the asymptotic constants are unknown).  For slowly decaying
-    tails (rho < 1) a two-point geometric extrapolation in the cutoff
-    refines the central value; the reported uncertainty stays at the
-    conservative fitted bound.
+    tails (rho < 1) and more than 16 primes, a two-point geometric
+    extrapolation in the cutoff refines the central value, and
+    `extrapolated` says whether it ran; the reported uncertainty stays at
+    the conservative fitted bound.
 
-    p_max and target_floor apply only when table is None; a given table
-    must have been built for params.
+    The table must have been built for params.
     """
     params.require_regime()
     s = 1.0 / params.rho
-    if extrapolate is None:
-        extrapolate = params.rho < 1.0
-    if table is None:
-        table = build_table(params, p_max, target_floor)
-    elif table.params != params:
+    if table.params != params:
         raise ValueError(f"table was built for {table.params}, not {params}")
     p_max = table.p_max
     primes = table.primes
@@ -125,7 +116,8 @@ def kappa_numeric(
     tail = c_fit * p_max ** (1.0 - theta) / (theta - 1.0)
 
     correction = 0.0
-    if extrapolate and len(primes) > 16:
+    extrapolated = params.rho < 1.0 and len(primes) > 16
+    if extrapolated:
         half_mask = primes <= p_max // 2
         delta = log_g - math.fsum(logs[half_mask])
         correction = delta / (2.0 ** (theta - 1.0) - 1.0)
@@ -140,7 +132,7 @@ def kappa_numeric(
         kappa=kappa,
         uncertainty=uncertainty,
         tail_exponent=theta,
-        extrapolated=bool(extrapolate),
+        extrapolated=extrapolated,
     )
 
 

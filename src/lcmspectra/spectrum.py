@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    FactoredIndex,
-    SpectralParams,
-    factorize,
-    lcm_grid,
-    primes_up_to,
-    smallest_prime_factor_table,
-)
+from .arith import SpectralParams, lcm_grid, primes_up_to, smallest_prime_factor_table
 from .errors import (
     CertificateUnavailable,
     EigensolverError,
@@ -72,14 +65,10 @@ _SOLVER_MARGIN = 1e-13
 
 @dataclass(frozen=True)
 class GlobalEigenvalue:
-    """One eigenvalue lambda_n; the factorisation of n is computed on demand."""
+    """One eigenvalue lambda_n with its index n."""
 
     n: int
     value: float
-
-    @property
-    def factored(self) -> FactoredIndex:
-        return factorize(self.n)
 
 
 @dataclass(frozen=True)
@@ -338,7 +327,7 @@ def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> list[GlobalEig
 
     Needs p_max >= n_max so that every index factors inside the table.
     The values come from the lambda sieve, which factors no index one by
-    one; each entry's `factored` is computed only when it is read.
+    one.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -411,13 +400,11 @@ def counting_mu(
     n_cut = int(math.ceil(x ** (1.0 / expo)))
     if n_cut > table.p_max:
         raise EnumerationInfeasible(
-            f"certified cutoff {n_cut} exceeds table coverage p_max={table.p_max}",
-            required=n_cut,
+            f"certified cutoff {n_cut} exceeds table coverage p_max={table.p_max}"
         )
     if n_cut > max_enumeration:
         raise EnumerationInfeasible(
-            f"certified cutoff {n_cut} exceeds max_enumeration={max_enumeration}",
-            required=n_cut,
+            f"certified cutoff {n_cut} exceeds max_enumeration={max_enumeration}"
         )
     vals = _lambda_values(table, n_cut)
     mu = int(np.count_nonzero(vals[1:] > threshold))

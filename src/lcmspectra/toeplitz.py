@@ -6,11 +6,12 @@ singular values come from Lanczos on the operator x -> T_N^T (T_N x),
 with no N x N matrix, up to N ~ 10^6; only a request for all N values
 densifies the Gram matrix T_N^T T_N.  The Gram matrix also collapses to
 a divisor sum, entry (n, m) = n^s m^s [n,m]^(-2s) F(N/[n,m]) with the
-truncated power sum F; that closed form and the dense T_N are kept as
-the independent oracles.  Rescaled by rho N^(-rho) (tau = 1 context,
-rho = 1 - 2 sigma) the squared singular values track the eigenvalues of
-E(sigma, 1); the Hadamard factor G_N measures the finite-N distortion and
-the Schatten diagnostics quantify its decay.
+truncated power sum F(x) = sum_{k <= x} k^(-2s), read from one prefix
+table; that closed form and the dense T_N are kept as the independent
+oracles.  Rescaled by rho N^(-rho) (tau = 1 context, rho = 1 - 2 sigma)
+the squared singular values track the eigenvalues of E(sigma, 1); the
+Hadamard factor G_N, built from the same F, measures the finite-N
+distortion and the Schatten diagnostics quantify its decay.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import math
 
 import numpy as np
 
-from .arith import PowerSumTable, SpectralParams, lcm_grid
-from .errors import InvalidRegime
+from .arith import SpectralParams, lcm_grid
+from .errors import EigensolverError, InvalidRegime
 from .spectrum import entry_matrix
 
 __all__ = [
@@ -66,6 +67,18 @@ def _toeplitz_sparse(N: int, sigma: float):
     return csc_matrix(pattern, shape=(N, N))
 
 
+def _power_sums(sigma: float, N: int, M: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The M x M LCM grid ell = [n, m], F(N // ell) with 0 where ell > N, and F(N).
+
+    F(x) = sum_{k <= x} k^(-2 sigma) is read from one prefix table of
+    length N + 1; the counts N // ell never exceed N.
+    """
+    powers = np.arange(1, N + 1, dtype=float) ** (-2.0 * sigma)
+    prefix = np.concatenate(([0.0], np.cumsum(powers)))
+    ell = lcm_grid(M)
+    return ell, prefix[np.where(ell <= N, N // ell, 0)], prefix[N]
+
+
 def build_toeplitz(N: int, sigma: float) -> np.ndarray:
     """T_N as a dense N x N array: entry (n, m) = (n/m)^(-sigma) when m | n, else 0."""
     vals, rows, indptr = _toeplitz_csc(N, sigma)
@@ -84,14 +97,12 @@ def gram_via_formula(N: int, sigma: float) -> np.ndarray:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    table = PowerSumTable(sigma, N)
+    ell, F, _ = _power_sums(sigma, N, N)
     n = np.arange(1, N + 1, dtype=float)
-    ell = lcm_grid(N)
-    counts = np.where(ell <= N, N // ell, 0)
     return (
         np.multiply.outer(n**sigma, n**sigma)
         * ell.astype(float) ** (-2.0 * sigma)
-        * table.at_int(counts)
+        * F
     )
 
 
@@ -110,7 +121,8 @@ def rescaled_singular_values(N: int, sigma: float, k: int = 1) -> np.ndarray:
     never sees the eigenvectors that such a swap does not fix (an error of
     1.6% of the top value at N = 28, k = 10).  ARPACK cannot return k >= N
     values, so then the Gram matrix is densified for one O(N^3) eigensolve
-    and all N values are returned.
+    and all N values are returned.  An ARPACK failure raises
+    EigensolverError.
     """
     rho = _rescaling_rho(sigma)
     T = _toeplitz_sparse(N, sigma)
@@ -119,10 +131,13 @@ def rescaled_singular_values(N: int, sigma: float, k: int = 1) -> np.ndarray:
     if k >= N:
         w = np.linalg.eigvalsh((T.T @ T).toarray())
     else:
-        from scipy.sparse.linalg import LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         gram = LinearOperator((N, N), matvec=lambda x: T.T @ (T @ x), dtype=float)
-        w = eigsh(gram, k=k, which="LA", rng=0, return_eigenvectors=False)
+        try:
+            w = eigsh(gram, k=k, which="LA", rng=0, return_eigenvectors=False)
+        except ArpackError as exc:
+            raise EigensolverError(f"Lanczos failed at N={N}, k={k}: {exc}") from exc
     w = np.sort(w)[::-1]
     return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
 
@@ -137,10 +152,8 @@ def hadamard_factor(N: int, M: int, sigma: float) -> np.ndarray:
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
     rho = _rescaling_rho(sigma)
-    table = PowerSumTable(sigma, N)
-    ell = lcm_grid(M)
-    counts = np.where(ell <= N, N // ell, 0)
-    return ell.astype(float) ** rho * table.at_int(counts) / table.at_int(N)
+    ell, F, F_N = _power_sums(sigma, N, M)
+    return ell.astype(float) ** rho * F / F_N
 
 
 def _trace_power_even(D: np.ndarray, q: int) -> float:

@@ -47,7 +47,7 @@ def report(name: str, ok: bool, detail: str) -> bool:
 class TestCriterion1KappaRhoOne:
     def test_c1_kappa_closed_form_rho_one(self):
         start = time.time()
-        comp = kappa_numeric(P25, p_max=1_000_000)
+        comp = kappa_numeric(P25, table=build_table(P25, 1_000_000))
         elapsed = time.time() - start
         ok = 0.9999 <= comp.kappa <= 1.0001 and elapsed <= 300.0
         assert report(
@@ -60,7 +60,8 @@ class TestCriterion1KappaRhoOne:
 class TestCriterion2KappaRhoHalf:
     def test_c2_kappa_closed_form_rho_half(self):
         start = time.time()
-        comp = kappa_numeric(SpectralParams(0.25, 1.0), p_max=1_000_000)
+        pars = SpectralParams(0.25, 1.0)
+        comp = kappa_numeric(pars, table=build_table(pars, 1_000_000))
         elapsed = time.time() - start
         target = math.sqrt(zeta_real(3.0)) / zeta_real(1.5)
         ok = abs(comp.kappa - target) <= 1e-3 and elapsed <= 600.0

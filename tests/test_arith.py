@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from lcmspectra import (
     InvalidRegime,
-    PowerSumTable,
     SpectralParams,
-    entry_E,
+    entry_matrix,
     factorize,
-    lcm,
     lcm_grid,
-    partial_power_sum_F,
     primes_up_to,
     smallest_prime_factor_table,
     zeta_real,
 )
+from lcmspectra.toeplitz import _power_sums
 
 
 def oracle_primes(limit):
@@ -80,14 +78,14 @@ class TestPrimes:
         spf = smallest_prime_factor_table(5000)
         assert spf[1] == 1
         for n in range(2, 5001):
-            assert spf[n] == factorize(n).factors[0][0]
+            assert spf[n] == factorize(n)[0][0]
 
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(12).as_dict() == {2: 2, 3: 1}
-        assert factorize(1).as_dict() == {}
-        assert factorize(360).as_dict() == {2: 3, 3: 2, 5: 1}
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(1) == ()
+        assert factorize(360) == ((2, 3), (3, 2), (5, 1))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -97,27 +95,26 @@ class TestFactorize:
     @settings(max_examples=120, deadline=None)
     def test_roundtrip(self, n):
         fi = factorize(n)
-        assert fi.n == n
-        ps = [p for p, _ in fi.factors]
+        assert math.prod(p**k for p, k in fi) == n
+        ps = [p for p, _ in fi]
         assert ps == sorted(ps)
-        for p, k in fi.factors:
+        for p, k in fi:
             assert k >= 1
             assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class TestLcm:
     def test_examples(self):
-        assert lcm(4, 6) == 12
-        assert lcm(1, 17) == 17
-        assert lcm(9, 9) == 9
+        G = lcm_grid(17)
+        assert G[3, 5] == 12  # [4, 6]
+        assert G[0, 16] == 17  # [1, 17]
+        assert G[8, 8] == 9  # [9, 9]
 
-    @given(
-        st.integers(min_value=1, max_value=10**9),
-        st.integers(min_value=1, max_value=10**9),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_gcd_lcm_product(self, n, m):
-        assert lcm(n, m) * math.gcd(n, m) == n * m
+    @given(st.integers(min_value=1, max_value=300))
+    @settings(max_examples=30, deadline=None)
+    def test_gcd_lcm_product(self, M):
+        n = np.arange(1, M + 1)
+        assert np.array_equal(lcm_grid(M) * np.gcd.outer(n, n), np.outer(n, n))
 
     def test_grid(self):
         G = lcm_grid(40)
@@ -128,59 +125,66 @@ class TestLcm:
 
 
 class TestEntry:
+    """Entries of spectrum.entry_matrix, the one implementation of E(sigma, tau)."""
+
     def test_diagonal_is_rho_power(self):
         p = SpectralParams(0.25, 1.5)
+        E = entry_matrix(p, 360)
         for n in (1, 2, 17, 360):
-            assert entry_E(n, n, p) == pytest.approx(n ** (-p.rho), rel=1e-14)
+            assert E[n - 1, n - 1] == pytest.approx(n ** (-p.rho), rel=1e-14)
 
     def test_simple_value(self):
-        assert entry_E(2, 3, SpectralParams(0.0, 1.0)) == pytest.approx(1 / 6, rel=1e-15)
+        E = entry_matrix(SpectralParams(0.0, 1.0), 3)
+        assert E[1, 2] == pytest.approx(1 / 6, rel=1e-15)
 
     def test_homogeneity(self):
         p = SpectralParams(0.25, 1.5)
-        assert entry_E(6, 10, p) == pytest.approx(
-            2 ** (-p.rho) * entry_E(3, 5, p), rel=1e-13
-        )
+        E = entry_matrix(p, 10)
+        assert E[5, 9] == pytest.approx(2 ** (-p.rho) * E[2, 4], rel=1e-13)
 
-    @given(
-        st.integers(min_value=1, max_value=100_000),
-        st.integers(min_value=1, max_value=100_000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_symmetry_and_gcd_form(self, n, m):
+    def test_symmetry_and_gcd_form(self):
+        # every pair n, m <= 1024 against the gcd form evaluated by Python floats
         p = SpectralParams(0.25, 1.5)
-        e = entry_E(n, m, p)
-        assert e == entry_E(m, n, p)
-        alternative = math.gcd(n, m) ** p.tau / (
-            n ** (p.tau - p.sigma) * m ** (p.tau - p.sigma)
-        )
-        assert abs(e - alternative) <= 1e-14 * abs(alternative)
+        M = 1024
+        E = entry_matrix(p, M)
+        assert np.array_equal(E, E.T)
+        worst = 0.0
+        for n in range(1, M + 1):
+            a = n ** (p.tau - p.sigma)
+            for m in range(n, M + 1):
+                alternative = math.gcd(n, m) ** p.tau / (a * m ** (p.tau - p.sigma))
+                worst = max(worst, abs(E[n - 1, m - 1] - alternative) / alternative)
+        assert worst <= 1e-14
+
+
+def fsum_F(x, sigma):
+    """F(x) = sum_{k <= x} k^(-2 sigma), summed exactly; 0 when x < 1."""
+    return math.fsum(k ** (-2.0 * sigma) for k in range(1, int(x) + 1))
 
 
 class TestPowerSum:
+    """The truncated power sum F behind the Toeplitz Gram and Hadamard factor."""
+
     def test_examples(self):
-        oracle = math.fsum(n ** (-0.5) for n in (1, 2, 3, 4))
-        assert partial_power_sum_F(4.0, 0.25) == pytest.approx(oracle, abs=1e-15)
-        assert partial_power_sum_F(0.5, 3.0) == 0.0
-        assert partial_power_sum_F(3.0, 0.0) == 3.0
+        ell, F, F_N = _power_sums(0.25, 4, 4)
+        assert F_N == pytest.approx(fsum_F(4, 0.25), abs=1e-15)
+        want = [fsum_F(4 // m, 0.25) for m in (1, 2, 3, 4)]
+        assert F[0].tolist() == pytest.approx(want, rel=1e-15)
+        assert F[2, 3] == 0.0  # [3, 4] = 12 > N: empty divisor sum
+        assert _power_sums(0.0, 3, 1)[2] == 3.0
 
     def test_table_matches_scalar(self):
-        table = PowerSumTable(0.25, 100)
-        for x in (1.0, 1.5, 7.0, 63.2, 100.0):
-            assert table(x) == pytest.approx(partial_power_sum_F(x, 0.25), rel=1e-15)
-        assert table(0.3) == 0.0
-
-    def test_table_rejects_outside_range(self):
-        with pytest.raises(ValueError):
-            PowerSumTable(0.25, 10)(11.0)
+        for sigma in (-0.5, 0.0, 0.25, 0.4):
+            for N, M in ((1, 3), (16, 16), (100, 30)):
+                ell, F, F_N = _power_sums(sigma, N, M)
+                assert F_N == pytest.approx(fsum_F(N, sigma), rel=1e-15)
+                want = [[fsum_F(N // l, sigma) if l <= N else 0.0 for l in row] for row in ell]
+                np.testing.assert_allclose(F, want, rtol=1e-15, atol=0)
 
     def test_asymptotic_deviation_bounded(self):
         # F(x) - x^rho/rho stays bounded as x grows (rho = 1 - 2 sigma here)
         sigma, rho = 0.25, 0.5
-        devs = [
-            partial_power_sum_F(x, sigma) - x**rho / rho
-            for x in (1e2, 1e3, 1e4)
-        ]
+        devs = [_power_sums(sigma, x, 1)[2] - x**rho / rho for x in (100, 1000, 10_000)]
         assert all(abs(d) < 2.0 for d in devs)
         assert max(devs) - min(devs) < 0.1
 

@@ -1,11 +1,16 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lcmspectra import gram_via_formula
-from lcmspectra.cli import main
+from lcmspectra.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv, capsys):
@@ -228,6 +233,38 @@ class TestExitCodes:
         assert "p_max >= n_max" in err
         assert "Traceback" not in err
 
+    def test_lanczos_failure_is_four(self, capsys, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        code, out, err = run(
+            ["toeplitz-compare", "--sigma", "0.25", "--n", "64", "--top", "3",
+             "--pmax", "2000"],
+            capsys,
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: numerical failure: Lanczos failed")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        # every `lcm-spectra ...` line of README's "Command line" code block
+        section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        parser = build_parser()
+        commands = set()
+        for line in block.splitlines():
+            if line.startswith("lcm-spectra "):
+                commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+        assert commands == {
+            "local-eigs", "spectrum", "counting", "kappa", "toeplitz-compare",
+            "schatten", "beurling", "verify",
+        }
+
 
 LOCAL = ["local-eigs", "--sigma", "0.25", "--tau", "1.5"]
 BAD_INPUTS = {
@@ -263,7 +300,6 @@ BAD_INPUTS = {
                                    "--pmax", "1000", "--max-enum=-1"],
     "beurling-max-enum-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
                                "--pmax", "1000", "--max-enum", "0"],
-    "local-a-inf": LOCAL + ["--p", "3", "--a", "inf"],
 }
 
 

@@ -79,50 +79,65 @@ class TestEulerFactor:
         assert np.all(quant[~small] <= quant[small].max())
 
 
+def kappa_at(params, p_max):
+    return kappa_numeric(params, table=build_table(params, p_max))
+
+
 class TestKappaNumeric:
     def test_rho_one_case(self):
-        comp = kappa_numeric(SpectralParams(0.25, 1.5), p_max=10_000)
+        comp = kappa_at(SpectralParams(0.25, 1.5), 10_000)
         assert comp.kappa == pytest.approx(1.0, abs=1e-6)
         assert comp.uncertainty >= 0.0
         assert not comp.extrapolated
 
     def test_rho_one_at_sigma_zero(self):
-        comp = kappa_numeric(SpectralParams(0.0, 1.0), p_max=10_000)
+        comp = kappa_at(SpectralParams(0.0, 1.0), 10_000)
         assert comp.kappa == pytest.approx(1.0, abs=1e-4)
 
     def test_rho_half_vs_closed_form(self):
         pars = SpectralParams(0.25, 1.0)
-        comp = kappa_numeric(pars, p_max=20_000)
+        comp = kappa_at(pars, 20_000)
         closed = kappa_closed_form(pars)
         assert comp.extrapolated
         assert abs(comp.kappa - closed) < 2e-3
         assert abs(comp.kappa - closed) < comp.uncertainty
 
+    def test_too_few_primes_to_extrapolate(self):
+        # 15 primes up to 50: the correction needs more than 16, so none is
+        # applied and kappa is the plain truncated product
+        pars = SpectralParams(0.25, 1.0)
+        table = build_table(pars, 50)
+        comp = kappa_numeric(pars, table=table)
+        assert len(table) == 15
+        assert not comp.extrapolated
+        assert comp.kappa == math.exp(-pars.rho * math.fsum(np.log(comp.g_factors)))
+
     def test_doubling_within_uncertainty(self):
         pars = SpectralParams(0.25, 1.0)
-        c1 = kappa_numeric(pars, p_max=5_000)
-        c2 = kappa_numeric(pars, p_max=10_000)
+        c1 = kappa_at(pars, 5_000)
+        c2 = kappa_at(pars, 10_000)
         assert abs(c2.kappa - c1.kappa) < c1.uncertainty
 
     def test_all_factors_positive(self):
-        comp = kappa_numeric(SpectralParams(0.25, 1.5), p_max=2_000)
+        comp = kappa_at(SpectralParams(0.25, 1.5), 2_000)
         assert np.all(comp.g_factors > 0.0)
 
     def test_invalid_regime(self):
+        table = build_table(SpectralParams(0.25, 1.5), 100)
         with pytest.raises(InvalidRegime):
-            kappa_numeric(SpectralParams(1.0, 1.0), p_max=100)
+            kappa_numeric(SpectralParams(1.0, 1.0), table=table)
 
     def test_rejects_table_for_other_params(self):
         table = build_table(SpectralParams(0.25, 1.5), 2_000)
         with pytest.raises(ValueError, match="table was built for"):
             kappa_numeric(SpectralParams(0.25, 1.0), table=table)
         same = kappa_numeric(SpectralParams(0.25, 1.5), table=table)
-        assert same.kappa == kappa_numeric(SpectralParams(0.25, 1.5), p_max=2_000).kappa
+        assert same.kappa == kappa_at(SpectralParams(0.25, 1.5), 2_000).kappa
 
     def test_counting_slope_consistency(self, table_counting):
         from lcmspectra import counting_mu
 
-        comp = kappa_numeric(SpectralParams(0.25, 1.5), p_max=10_000)
+        comp = kappa_at(SpectralParams(0.25, 1.5), 10_000)
         t = 5000.0
         mu = counting_mu(table_counting, t).mu
         # mu(t) ~ kappa^(-1/rho) t^(1/rho) with rho = 1

@@ -27,7 +27,6 @@ from lcmspectra import (
     save_table,
 )
 from lcmspectra.kappa import g_p_at, kappa_numeric
-from lcmspectra import spectrum
 from lcmspectra.local import hs_bound_squared, local_spectrum
 from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values, _product_tail_bound
 
@@ -88,7 +87,7 @@ def _lambda_of_factorize(n, table):
     """Reference lambda_n: factorize n, then multiply Lambda_0 by one kept
     ratio per prime power in ascending-prime order."""
     value = table.base_product
-    for p, k in factorize(n).factors:
+    for p, k in factorize(n):
         i = table.index_of(p)  # PrimeOutOfRange above p_max
         if k > table.lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p})")
@@ -161,10 +160,6 @@ class TestLambdaOf:
         with pytest.raises(FloorTooHigh):
             lambda_of(2**60, table_small)
 
-    def test_factored_index_attached(self, table_small):
-        ev = lambda_of(12, table_small)
-        assert ev.factored.as_dict() == {2: 2, 3: 1}
-
 
 class TestEnumerate:
     def test_first_entry_is_n1(self, table_small):
@@ -206,23 +201,10 @@ class TestEnumerate:
         assert [(e.n, e.value) for e in evs] == expected
         assert all(type(e.n) is int and type(e.value) is float for e in evs)
 
-    def test_makes_no_factorize_call(self, table_small, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        monkeypatch.setattr(spectrum, "factorize", refuse)
-        assert len(enumerate_spectrum(table_small, 2000)) == 2000
-
-    def test_factored_on_demand(self, table_small):
-        for ev in enumerate_spectrum(table_small, 2000)[:1000]:
-            assert ev.factored == factorize(ev.n)
-
     def test_entries_frozen_and_hashable(self, table_small):
         evs = enumerate_spectrum(table_small, 50)
         with pytest.raises(dataclasses.FrozenInstanceError):
             evs[0].value = 0.0
-        with pytest.raises(AttributeError):
-            evs[0].factored = factorize(2)
         assert len(set(evs)) == 50
         assert hash(evs[3]) == hash(dataclasses.replace(evs[3]))
 

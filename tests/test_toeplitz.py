@@ -9,6 +9,7 @@ import pytest
 
 import lcmspectra
 from lcmspectra import (
+    EigensolverError,
     InvalidRegime,
     SpectralParams,
     build_toeplitz,
@@ -166,6 +167,18 @@ def test_import_leaves_scipy_unloaded():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_lanczos_failure_is_eigensolver_error(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    with pytest.raises(EigensolverError, match="Lanczos failed at N=64, k=3") as err:
+        rescaled_singular_values(64, 0.25, 3)
+    assert isinstance(err.value.__cause__, sla.ArpackNoConvergence)
 
 
 class TestTopRescaledSparse:
