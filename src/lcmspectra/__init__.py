@@ -21,7 +21,6 @@ from .beurling import (
     BeurlingSystem,
     beurling_integers,
     count_integers,
-    density_fit,
     system_from_spectra,
 )
 from .errors import (

@@ -109,9 +109,7 @@ def smallest_prime_factor_table(limit: int) -> np.ndarray:
             idx = idx[spf[idx] == 0]
             spf[idx] = p
     untouched = np.flatnonzero(spf == 0)
-    spf[untouched] = untouched  # primes, including the sieving ones
-    if limit >= 0:
-        spf[0] = 0
+    spf[untouched] = untouched  # primes, including the sieving ones, and spf[0] = 0
     return spf
 
 
@@ -150,21 +148,19 @@ def lcm_grid(M: int) -> np.ndarray:
     return (n[:, None] // np.gcd.outer(n, n)) * n[None, :]
 
 
-# Bernoulli corrections through B6 = 1/42; see zeta_real.
-_ZETA_DEFAULT_CUTOFF = 10_000
+# length of the partial sum in zeta_real
+_ZETA_CUTOFF = 10_000
 
 
-def zeta_real(s: float, cutoff: int = _ZETA_DEFAULT_CUTOFF) -> float:
+def zeta_real(s: float) -> float:
     """Riemann zeta at real s > 1: partial sum plus Euler-Maclaurin tail.
 
-    Correction terms through B6 give roughly 1e-12 absolute accuracy for
-    s in (1, 40] at the default cutoff, without arbitrary precision.
+    Correction terms through B6 = 1/42 give roughly 1e-12 absolute
+    accuracy for s in (1, 40] at the cutoff, without arbitrary precision.
     """
     if s <= 1.0:
         raise InvalidRegime("zeta_real requires s > 1")
-    M = int(cutoff)
-    if M < 2:
-        raise ValueError("cutoff must be >= 2")
+    M = _ZETA_CUTOFF
     head = math.fsum(np.arange(1, M + 1, dtype=float) ** (-s))
     mf = float(M)
     tail = mf ** (1.0 - s) / (s - 1.0) - 0.5 * mf ** (-s)

@@ -3,10 +3,12 @@
 The normalised second eigenvalues gamma_p = lambda_1(E_p)/lambda_0(E_p)
 define real generators r_p = gamma_p^(-1/rho), close to p itself.  The
 multiplicative semigroup they generate plays the role of the integers;
-its counting function grows linearly, and the empirical density c(x)
-stabilises at desk scale.  The semigroup is enumerated level by level
-(level k holds the products of k generators) in array code, then sorted
-once.
+its counting function grows linearly, and the empirical density
+c(x) = count(x)/x stabilises at desk scale.  The semigroup is enumerated
+level by level (level k holds the products of k generators) in array
+code, then sorted once; the elements up to the largest x answer the
+count at every smaller x too, which is how the CLI reads c(x) on a list
+of points.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "system_from_spectra",
     "beurling_integers",
     "count_integers",
-    "density_fit",
 ]
 
 logger = logging.getLogger(__name__)
@@ -159,19 +160,3 @@ def count_integers(
         raise ValueError("x must be non-negative")
     return int(beurling_integers(system, x, max_count).size)
 
-
-def density_fit(
-    system: BeurlingSystem, x_grid, max_count: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Empirical density c(x) = count(x)/x on an ascending grid (x >= 1).
-
-    One enumeration up to max(x_grid) serves every grid point.
-    """
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("x_grid must be a non-empty one-dimensional sequence")
-    if not np.all(np.isfinite(xs)) or np.any(np.diff(xs) < 0) or xs[0] < 1.0:
-        raise ValueError("x_grid must be finite, ascend and start at x >= 1")
-    values = beurling_integers(system, float(xs[-1]), max_count)
-    counts = np.searchsorted(values, xs, side="right")
-    return counts / xs

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .arith import SpectralParams, zeta_real
-from .beurling import count_integers, system_from_spectra
+from .beurling import DEFAULT_CAP, beurling_integers, system_from_spectra
 from .errors import (
     CertificateUnavailable,
     EigensolverError,
@@ -36,8 +36,9 @@ from .errors import (
     VerificationFailed,
 )
 from .kappa import kappa_closed_form, kappa_numeric
-from .local import best_envelope, corner_quadratic_form, local_spectrum
+from .local import DEFAULT_FLOOR, best_envelope, corner_quadratic_form, local_spectrum
 from .spectrum import (
+    DEFAULT_MAX_ENUMERATION,
     build_table,
     counting_mu,
     enumerate_spectrum,
@@ -213,14 +214,17 @@ def cmd_schatten(args) -> None:
 
 
 def cmd_beurling(args) -> None:
+    # every x, not just the largest: max() passes over a NaN
+    bad = [x for x in args.x if not 0.0 < x < math.inf]
+    if bad:
+        raise ValueError(f"x must be positive and finite, got {bad[0]}")
     p_max = int(1.25 * max(args.x)) + 10 if args.pmax is None else args.pmax
     table = _table(args, p_max)
     system = system_from_spectra(table)
-    rows = []
-    for x in args.x:
-        c = count_integers(system, x, max_count=args.max_enum)
-        rows.append([x, c, c / x])
-    _emit(args, ["x", "count", "c"], rows)
+    # the elements up to the largest x hold those up to every smaller one
+    values = beurling_integers(system, max(args.x), max_count=args.max_enum)
+    counts = np.searchsorted(values, args.x, side="right").tolist()
+    _emit(args, ["x", "count", "c"], [[x, c, c / x] for x, c in zip(args.x, counts)])
 
 
 def _verify_checks(args):
@@ -324,7 +328,7 @@ def _add_common(sp, sigma=True, tau=True, floor=True):
     sp.add_argument("--out", default=None, help="output path ('-' or omit for stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if floor:
-        sp.add_argument("--floor", type=float, default=1e-14)
+        sp.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--pmax", type=int, default=100_000)
-    sp.add_argument("--max-enum", type=int, default=2_000_000)
+    sp.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUMERATION)
     sp.add_argument("--emit-plot-data", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_counting, format="json")
 
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated evaluation points",
     )
     sp.add_argument("--pmax", type=int, default=None)
-    sp.add_argument("--max-enum", type=int, default=5_000_000)
+    sp.add_argument("--max-enum", type=int, default=DEFAULT_CAP)
     sp.set_defaults(func=cmd_beurling)
 
     sp = sub.add_parser("verify", help="run the exact-identity self checks")

@@ -3,7 +3,10 @@
 The block at base p has entries p^(sigma (j+k) - tau max(j,k)) for
 j, k >= 0.  The base may be any real p > 1; integer primality plays no
 role in the linear algebra, and prime-indexed callers simply restrict to
-primes.  All returned values are immutable and safe to share.
+primes.  One private routine solves a batch of blocks, cuts each row at
+the floor and checks its top eigenvalue; local_spectrum runs it for one
+base and spectrum.build_table for every group of primes that shares a
+truncation order.  All returned values are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -150,20 +153,33 @@ def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
     return np.sort(1.0 / q, axis=1)[:, ::-1].reshape(p.shape + (K,))
 
 
+def _solve_rows(bases: np.ndarray, params: SpectralParams, K: int, floor: float):
+    """Eigenvalues of the K x K blocks at a 1-D array of bases, one
+    descending row per base, and the mask of those above floor.
+
+    Rows descend, so the kept eigenvalues of a row are a prefix.  Raises
+    EigensolverError when a top eigenvalue is at or below the floor or
+    below 1, which the Rayleigh quotient at e_0 rules out.
+    """
+    eig = block_eigenvalues(bases, params, K)
+    kept = eig > floor
+    bad = ~kept[:, 0] | (eig[:, 0] < 1.0 - 1e-10)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EigensolverError(
+            f"top eigenvalue {float(eig[i, 0])!r} of the block at p={bases[i]} is below 1 "
+            f"or at the floor {floor}, contradicting the Rayleigh quotient at e_0"
+        )
+    return eig, kept
+
+
 @dataclass(frozen=True)
 class LocalSpectrum:
-    """Truncated eigendecomposition of one prime-local block.
+    """The eigenvalues above the floor, descending, of the
+    truncation_order x truncation_order block at one base."""
 
-    eigenvalues holds everything above the floor, in descending order;
-    tail_bound is a rigorous Weyl bound on the truncation effect.
-    """
-
-    p: float
-    params: SpectralParams
     truncation_order: int
     eigenvalues: np.ndarray
-    tail_bound: float
-    floor: float
 
 
 def local_spectrum(
@@ -173,7 +189,7 @@ def local_spectrum(
 
     Chooses the truncation order from the floor, runs the bidiagonal dqd
     solver, and discards eigenvalues at or below the floor as numerically
-    untrustworthy.
+    untrustworthy, exactly as build_table does for each row of its table.
     """
     if not (0.0 < params.rho < math.inf and params.tau > 0.0):
         raise InvalidRegime(
@@ -184,20 +200,8 @@ def local_spectrum(
     if not (1.0 < p < math.inf):
         raise ValueError(f"base p must be finite and exceed 1, got {p}")
     K = truncation_order(p, params, target_floor)
-    eig = block_eigenvalues(p, params, K)
-    kept = eig[eig > target_floor]
-    if kept.size == 0 or kept[0] < 1.0 - 1e-10:
-        raise EigensolverError(
-            f"top eigenvalue {eig[0]!r} below 1 contradicts the Rayleigh quotient at e_0"
-        )
-    return LocalSpectrum(
-        p=float(p),
-        params=params,
-        truncation_order=K,
-        eigenvalues=kept,
-        tail_bound=float(truncation_tail_bound(p, params, K)),
-        floor=float(target_floor),
-    )
+    eig, kept = _solve_rows(np.array([p], dtype=float), params, K, target_floor)
+    return LocalSpectrum(K, eig[0, kept[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +210,12 @@ def local_spectrum(
 
 @dataclass(frozen=True)
 class SandwichEnvelope:
-    """Two-sided bound c_lower p^(-rho k) <= lambda_k <= c_upper p^(-rho k).
-
-    lower_clamped marks the mixing parameters where the lower constant
-    degenerates (a >= sqrt(q)) and is clamped to 0.
-    """
+    """Two-sided bound c_lower p^(-rho k) <= lambda_k <= c_upper p^(-rho k)."""
 
     p: float
     params: SpectralParams
-    a: float
     c_lower: float
     c_upper: float
-    lower_clamped: bool = False
 
     def lower(self, k) -> np.ndarray | float:
         return self.c_lower * self.p ** (-self.params.rho * np.asarray(k, dtype=float))
@@ -245,16 +243,8 @@ def sandwich_envelope(p: float, params: SpectralParams, a: float) -> SandwichEnv
         )
     c_upper = (1.0 - 1.0 / q) * (1.0 + a * u) / upper_denom
     num = 1.0 - a * u
-    clamped = num <= 0.0
-    c_lower = 0.0 if clamped else (1.0 - 1.0 / q) * num / (1.0 - 1.0 / q + u / a)
-    return SandwichEnvelope(
-        p=float(p),
-        params=params,
-        a=float(a),
-        c_lower=c_lower,
-        c_upper=c_upper,
-        lower_clamped=clamped,
-    )
+    c_lower = 0.0 if num <= 0.0 else (1.0 - 1.0 / q) * num / (1.0 - 1.0 / q + u / a)
+    return SandwichEnvelope(float(p), params, c_lower, c_upper)
 
 
 def best_envelope(p: float, params: SpectralParams) -> SandwichEnvelope:
@@ -313,15 +303,11 @@ def hs_bound_squared(p: float, params: SpectralParams) -> float:
 
 @dataclass(frozen=True)
 class TopEigenvalueCertificate:
-    """Interval [1, 1 + bound] certified to contain the top local eigenvalue."""
+    """Interval [1, 1 + bound] certified to contain the top local eigenvalue;
+    h majorises the norm of the block without its first row and column."""
 
-    p: float
-    params: SpectralParams
     bound: float
     h: float
-
-    def contains(self, value: float, slack: float = 1e-12) -> bool:
-        return 1.0 - slack <= value <= 1.0 + self.bound + slack
 
 
 def top_eig_certificate(p: float, params: SpectralParams) -> TopEigenvalueCertificate:
@@ -339,9 +325,4 @@ def top_eig_certificate(p: float, params: SpectralParams) -> TopEigenvalueCertif
         raise CertificateUnavailable(
             f"h = {h:.4f} >= 1 at p = {p}; no certified top-eigenvalue bound"
         )
-    return TopEigenvalueCertificate(
-        p=float(p),
-        params=params,
-        bound=a_norm_squared(p, params) / (1.0 - h),
-        h=h,
-    )
+    return TopEigenvalueCertificate(bound=a_norm_squared(p, params) / (1.0 - h), h=h)

@@ -3,9 +3,10 @@
 Eigenvalues of the infinite matrix factor over primes: lambda_n is the
 product over p | n of the k_p-th local eigenvalue times the base product
 Lambda_0 = prod_p lambda_0(E_p).  This module builds the per-prime table,
-enumerates and sorts eigenvalues, evaluates the counting function
-mu(t) = #{n : lambda_n > 1/t} behind a certified cutoff, and cross-checks
-against dense finite sections.
+one flat row per prime, from the same solve and floor cut as
+local.local_spectrum.  It enumerates and sorts eigenvalues, evaluates the
+counting function mu(t) = #{n : lambda_n > 1/t} behind a certified
+cutoff, and cross-checks against dense finite sections.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .arith import SpectralParams, lcm_grid, primes_up_to, smallest_prime_factor_table
 from .errors import (
     CertificateUnavailable,
-    EigensolverError,
     EnumerationInfeasible,
     FloorTooHigh,
     InvalidRegime,
@@ -32,9 +32,8 @@ from .errors import (
 )
 from .local import (
     DEFAULT_FLOOR,
-    LocalSpectrum,
+    _solve_rows,
     best_envelope,
-    block_eigenvalues,
     top_eig_certificate,
     truncation_order,
     truncation_tail_bound,
@@ -56,6 +55,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# default cap on the indices counting_mu enumerates behind its cutoff
+DEFAULT_MAX_ENUMERATION = 2_000_000
 
 # absolute allowance for the solver error on every stored eigenvalue: dqd
 # is accurate to a few 1e-15 relative, and the mpmath oracle tests hold it
@@ -160,29 +162,6 @@ class GlobalSpectrumTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def index_of(self, p: int) -> int:
-        i = int(np.searchsorted(self.primes, int(p)))
-        if i == len(self.primes) or self.primes[i] != int(p):
-            raise PrimeOutOfRange(f"prime {p} exceeds table cutoff {self.p_max}")
-        return i
-
-    def ratios_at(self, i: int) -> np.ndarray:
-        """Kept lambda_k / lambda_0, k >= 1, of row i (descending)."""
-        return self.kept_ratios[self.offsets[i] : self.offsets[i + 1]]
-
-    def local(self, p: int) -> LocalSpectrum:
-        """The LocalSpectrum of one prime, reassembled from the stored row."""
-        i = self.index_of(p)
-        eig = np.concatenate([[1.0], self.ratios_at(i)]) * self.lambda0[i]
-        return LocalSpectrum(
-            p=float(p),
-            params=self.params,
-            truncation_order=int(self.trunc_orders[i]),
-            eigenvalues=eig,
-            tail_bound=float(self.tail_bounds[i]),
-            floor=self.floor,
-        )
-
     def envelope(self) -> SpectralEnvelope:
         """The certified envelope, recomputed on each call (milliseconds)."""
         return _build_envelope(self)
@@ -197,10 +176,11 @@ def build_table(
     """Solve every prime-local block with p <= p_max.
 
     Blocks share a truncation order K in long runs of consecutive primes,
-    so the dqd sweeps run batched per K group.  cache_dir, when given,
-    persists the table in the binary format of save_table and reuses it on
-    rebuild; a cache file that is corrupt or answers another request is
-    rebuilt.
+    so the dqd sweeps run batched per K group, through the same solve,
+    floor cut and top-eigenvalue check as local_spectrum.  cache_dir, when
+    given, persists the table in the binary format of save_table and
+    reuses it on rebuild; a cache file that is corrupt or answers another
+    request is rebuilt.
     """
     params.require_regime()
     if not (0.0 < target_floor < 1.0):
@@ -226,13 +206,7 @@ def build_table(
     lengths = np.empty(len(primes), dtype=np.int64)
     parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        eig = block_eigenvalues(primes[lo:hi], params, int(orders[lo]))
-        # rows descend, so the kept eigenvalues of a row are a prefix
-        kept = eig > target_floor
-        bad = ~kept[:, 0] | (eig[:, 0] < 1.0 - 1e-10)
-        if bad.any():
-            p = int(primes[lo + int(np.argmax(bad))])
-            raise EigensolverError(f"inconsistent local spectrum at p={p}")
+        eig, kept = _solve_rows(primes[lo:hi], params, int(orders[lo]), target_floor)
         lambda0[lo:hi] = eig[:, 0]
         lengths[lo:hi] = kept.sum(axis=1) - 1
         parts.append((eig[:, 1:] / eig[:, :1])[kept[:, 1:]])
@@ -367,7 +341,7 @@ def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:
 
 
 def counting_mu(
-    table: GlobalSpectrumTable, t: float, max_enumeration: int = 2_000_000
+    table: GlobalSpectrumTable, t: float, max_enumeration: int = DEFAULT_MAX_ENUMERATION
 ) -> CountingResult:
     """mu(t) = #{n : lambda_n > 1/t}, exact behind a certified cutoff.
 

@@ -14,7 +14,6 @@ from lcmspectra import (
     SpectralParams,
     beurling_integers,
     count_integers,
-    density_fit,
     factorize,
     primes_up_to,
     system_from_spectra,
@@ -233,7 +232,7 @@ class TestSpectralSystem:
 
     def test_generator_definition_at_rho_one(self, table_small):
         system = system_from_spectra(table_small)
-        gamma = table_small.ratios_at(0)[0]  # lambda_1/lambda_0 at p = 2
+        gamma = table_small.kept_ratios[0]  # lambda_1/lambda_0 at p = 2
         assert np.min(system.generators) == pytest.approx(gamma**-1.0, rel=1e-14)
 
     def test_sorted_ascending_above_one(self, table_small):
@@ -243,9 +242,8 @@ class TestSpectralSystem:
 
     def test_generators_approach_primes(self, table_small):
         # |r_p - p| <= C p^(1 - tau/2) with C fitted on p <= 50
-        rs = np.array(
-            [table_small.ratios_at(i)[0] ** -1.0 for i in range(len(table_small.primes))]
-        )
+        # the first kept ratio of each row is lambda_1/lambda_0
+        rs = table_small.kept_ratios[table_small.offsets[:-1]] ** -1.0
         ps = table_small.primes.astype(float)
         dev = np.abs(rs - ps) * ps ** (P25.tau / 2 - 1.0)
         c_fit = dev[ps <= 50].max()
@@ -256,9 +254,7 @@ class TestSpectralSystem:
         # n equals counting semigroup elements after the r = gamma^(-1/rho) map
         table = table_small
         system = system_from_spectra(table)
-        gamma1 = {
-            int(p): table.ratios_at(i)[0] for i, p in enumerate(table.primes)
-        }
+        gamma1 = dict(zip(table.primes.tolist(), table.kept_ratios[table.offsets[:-1]]))
         xs = []
         for n in range(1, 4001):
             fi = factorize(n)
@@ -273,19 +269,10 @@ class TestSpectralSystem:
 
     def test_density_positive_and_stable(self, table_counting):
         system = system_from_spectra(table_counting)
-        c = density_fit(system, [1.0, 100.0, 10_000.0, 40_000.0])
+        xs = [1.0, 100.0, 10_000.0, 40_000.0]
+        c = np.array([count_integers(system, x) / x for x in xs])
         assert np.all(c > 0.0)
         assert 0.95 <= c[3] / c[2] <= 1.05
-
-    def test_density_grid_validation(self, table_small):
-        system = system_from_spectra(table_small)
-        with pytest.raises(ValueError):
-            density_fit(system, [0.5, 10.0])
-        with pytest.raises(ValueError):
-            density_fit(system, [10.0, 5.0])
-        for grid in ([math.nan, 10.0], [1.0, math.nan], [1.0, math.inf]):
-            with pytest.raises(ValueError):
-                density_fit(system, grid)
 
 
 class TestEnumerationValues:

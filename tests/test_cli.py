@@ -7,8 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcmspectra import gram_via_formula
-from lcmspectra.cli import build_parser, main
+from lcmspectra import (
+    SpectralParams,
+    build_table,
+    count_integers,
+    gram_via_formula,
+    local,
+    system_from_spectra,
+)
+from lcmspectra.cli import _fmt, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -147,6 +154,21 @@ class TestOtherCommands:
         rows = [l.split(",") for l in path.read_text().splitlines()[2:]]
         assert int(float(rows[0][1])) <= int(float(rows[1][1]))
 
+    def test_beurling_counts_from_one_enumeration(self, capsys):
+        xs = [40000.0, 10.0, 3.5, 0.5]
+        code, out, _ = run(
+            ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "40000,10,3.5,0.5"],
+            capsys,
+        )
+        assert code == 0
+        table = build_table(SpectralParams(0.25, 1.5), int(1.25 * 40000) + 10)
+        system = system_from_spectra(table)
+        want = []
+        for x in xs:
+            count = count_integers(system, x)
+            want.append(",".join(map(_fmt, [x, count, count / x])))
+        assert out.splitlines()[2:] == want
+
     def test_toeplitz_compare(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         code, _, _ = run(
@@ -249,6 +271,16 @@ class TestExitCodes:
         assert err.startswith("error: numerical failure: Lanczos failed")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_top_eigenvalue_below_one_is_four(self, capsys, monkeypatch):
+        solve = local.block_eigenvalues
+        monkeypatch.setattr(local, "block_eigenvalues", lambda *args: 0.5 * solve(*args))
+        code, out, err = run(
+            ["local-eigs", "--p", "2", "--sigma", "0.25", "--tau", "1.5"], capsys
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: numerical failure: top eigenvalue")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestReadme:
     def test_command_lines_parse(self):
@@ -282,6 +314,13 @@ BAD_INPUTS = {
     "schatten-sigma-minus-inf": ["schatten", "--sigma=-inf", "--q", "2", "--n", "16"],
     "beurling-x-nan": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "nan",
                        "--pmax", "1000"],
+    "beurling-x-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "0",
+                        "--pmax", "1000"],
+    "beurling-x-later-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "10,0",
+                              "--pmax", "1000"],
+    # max([10, nan]) is 10, so every x must be checked
+    "beurling-x-later-nan": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "10,nan",
+                             "--pmax", "1000"],
     "counting-t-nan": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "nan",
                        "--pmax", "1000"],
     "counting-t-inf": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "inf",

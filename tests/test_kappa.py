@@ -5,6 +5,7 @@ import pytest
 
 from lcmspectra import (
     InvalidRegime,
+    LocalSpectrum,
     NoClosedForm,
     SpectralParams,
     build_table,
@@ -14,6 +15,13 @@ from lcmspectra import (
     s_threshold,
     zeta_real,
 )
+
+
+def _local_from_row(table, i):
+    """The LocalSpectrum of row i of a table, rebuilt from the stored ratios."""
+    ratios = table.kept_ratios[table.offsets[i] : table.offsets[i + 1]]
+    eig = np.concatenate([[1.0], ratios]) * table.lambda0[i]
+    return LocalSpectrum(int(table.trunc_orders[i]), eig)
 
 
 class TestClosedForm:
@@ -70,8 +78,8 @@ class TestEulerFactor:
         theta = min(pars.tau + pars.rho, 2.0, 1.0 + pars.tau / 2.0)
         g = np.array(
             [
-                g_p_at(float(p), pars, 2.0, table.local(int(p)))
-                for p in table.primes
+                g_p_at(float(p), pars, 2.0, _local_from_row(table, i))
+                for i, p in enumerate(table.primes)
             ]
         )
         quant = np.abs(g - 1.0) * table.primes.astype(float) ** theta

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from lcmspectra import (
     CertificateUnavailable,
+    EigensolverError,
     InvalidRegime,
     SpectralParams,
     a_norm_squared,
     best_envelope,
     block_eigenvalues,
     build_local_matrix,
+    build_table,
     corner_quadratic_form,
     hs_bound_squared,
     local_spectrum,
@@ -22,6 +24,7 @@ from lcmspectra import (
     top_eig_certificate,
     truncation_order,
 )
+from lcmspectra import local
 from lcmspectra.local import DEFAULT_FLOOR
 from lcmspectra.spectrum import _SOLVER_MARGIN
 
@@ -222,6 +225,23 @@ class TestLocalSpectrum:
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+class TestTopEigenvalueCheck:
+    """local_spectrum and build_table run one floor cut and top check."""
+
+    @pytest.fixture
+    def halved(self, monkeypatch):
+        solve = local.block_eigenvalues
+        monkeypatch.setattr(local, "block_eigenvalues", lambda *args: 0.5 * solve(*args))
+
+    def test_single_block_raises(self, halved):
+        with pytest.raises(EigensolverError, match="top eigenvalue 0.66.* at p=2"):
+            local_spectrum(2, P25)
+
+    def test_table_raises(self, halved):
+        with pytest.raises(EigensolverError, match="top eigenvalue 0.66.* at p=2"):
+            build_table(P25, 50)
+
+
 class TestSandwich:
     def test_q16_value(self):
         # q = p^tau = 16: c_upper = 0.9375 * 1.125 / 0.4375
@@ -249,7 +269,7 @@ class TestSandwich:
     def test_lower_clamped_when_a_too_large(self):
         p = 16.0 ** (1.0 / P25.tau)
         env = sandwich_envelope(p, P25, 5.0)  # a > sqrt(q) = 4
-        assert env.lower_clamped and env.c_lower == 0.0
+        assert env.c_lower == 0.0
 
     def test_contains_spectrum_at_half(self):
         for p in (5, 7, 11, 101):
@@ -344,7 +364,7 @@ class TestCertificate:
         for p in (2, 3, 5, 7, 11, 101):
             cert = top_eig_certificate(p, P25)
             lam0 = local_spectrum(p, P25).eigenvalues[0]
-            assert cert.contains(lam0)
+            assert 1.0 - 1e-12 <= lam0 <= 1.0 + cert.bound + 1e-12
 
     def test_unavailable_when_h_large(self):
         # weakly decaying regime: rho = 0.1 makes h(2) > 1

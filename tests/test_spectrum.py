@@ -27,7 +27,7 @@ from lcmspectra import (
     save_table,
 )
 from lcmspectra.kappa import g_p_at, kappa_numeric
-from lcmspectra.local import hs_bound_squared, local_spectrum
+from lcmspectra.local import LocalSpectrum, hs_bound_squared, local_spectrum
 from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values, _product_tail_bound
 
 P25 = SpectralParams(0.25, 1.5)
@@ -88,7 +88,9 @@ def _lambda_of_factorize(n, table):
     ratio per prime power in ascending-prime order."""
     value = table.base_product
     for p, k in factorize(n):
-        i = table.index_of(p)  # PrimeOutOfRange above p_max
+        if p > table.p_max:
+            raise PrimeOutOfRange(f"prime {p} exceeds table cutoff {table.p_max}")
+        i = int(np.searchsorted(table.primes, p))
         if k > table.lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p})")
         value *= table.kept_ratios[table.offsets[i] + k - 1]
@@ -147,8 +149,8 @@ class TestLambdaOf:
         assert lam(6) * lam(1) == pytest.approx(lam(2) * lam(3), rel=1e-14)
 
     def test_prime_case(self, table_small):
-        i = table_small.index_of(7)
-        expected = table_small.base_product * table_small.ratios_at(i)[0]
+        i = int(np.searchsorted(table_small.primes, 7))
+        expected = table_small.base_product * table_small.kept_ratios[table_small.offsets[i]]
         assert lambda_of(7, table_small).value == pytest.approx(expected, rel=1e-15)
 
     def test_prime_beyond_cutoff(self, table_small):
@@ -316,6 +318,17 @@ class TestScalingLaw:
         assert devs[-1] < 1e-3
 
 
+def _row_ratios(table, i):
+    """Kept lambda_k / lambda_0, k >= 1, of row i of a table (descending)."""
+    return table.kept_ratios[table.offsets[i] : table.offsets[i + 1]]
+
+
+def _local_from_row(table, i):
+    """The LocalSpectrum of row i, rebuilt from the stored ratios."""
+    eig = np.concatenate([[1.0], _row_ratios(table, i)]) * table.lambda0[i]
+    return LocalSpectrum(int(table.trunc_orders[i]), eig)
+
+
 def _envelope_loop(table):
     """(c_star, cap) from the per-prime loop that the flat envelope replaced."""
     rho = table.params.rho
@@ -323,7 +336,7 @@ def _envelope_loop(table):
     cap = table.floor
     for i in range(len(table.primes)):
         lam0 = table.lambda0[i]
-        lamk = table.ratios_at(i) * lam0
+        lamk = _row_ratios(table, i) * lam0
         err = float(table.tail_bounds[i]) + 1e-13
         logp = math.log(table.primes[i])
         inc = lamk >= 1e4 * err
@@ -354,7 +367,7 @@ class TestFlatTable:
         assert np.all(t.lengths >= 1)
         assert np.array_equal(t.owner, np.repeat(np.arange(len(t)), t.lengths))
         for i in range(len(t)):
-            r = t.ratios_at(i)
+            r = _row_ratios(t, i)
             assert np.all(np.diff(r) <= 0) and 0 < r[0] < 1
             assert np.all(r * t.lambda0[i] > t.floor)
 
@@ -364,18 +377,11 @@ class TestFlatTable:
 
     def test_rows_match_single_block_solve(self, table_small):
         for p in (2, 3, 97, 1999):
-            got = table_small.local(p)
+            got = _local_from_row(table_small, int(np.searchsorted(table_small.primes, p)))
             ref = local_spectrum(p, P25)
             assert got.truncation_order == ref.truncation_order
             assert got.eigenvalues.size == ref.eigenvalues.size
             np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-13, atol=0)
-
-    def test_index_of(self, table_small):
-        assert table_small.index_of(2) == 0
-        assert table_small.primes[table_small.index_of(1999)] == 1999
-        for n in (1, 4, 2001, 2003):
-            with pytest.raises(PrimeOutOfRange):
-                table_small.index_of(n)
 
     @pytest.mark.parametrize("name", ["table_small", "table_counting"])
     def test_envelope_matches_per_prime_loop(self, name, request):
@@ -390,8 +396,8 @@ class TestFlatTable:
         table = request.getfixturevalue(name)
         comp = kappa_numeric(table.params, table=table)
         ref = [
-            g_p_at(int(p), table.params, comp.s, spectrum=table.local(p))
-            for p in table.primes
+            g_p_at(int(p), table.params, comp.s, spectrum=_local_from_row(table, i))
+            for i, p in enumerate(table.primes)
         ]
         np.testing.assert_allclose(comp.g_factors, ref, rtol=1e-13, atol=0)
 
@@ -406,7 +412,7 @@ class TestFlatTable:
 
     def test_lambda_values_zero_below_floor(self):
         table = build_table(P25, 3000, target_floor=1e-3)
-        n = 7 ** (int(table.lengths[table.index_of(7)]) + 1)  # lambda_k(E_7) < floor
+        n = 7 ** (int(table.lengths[3]) + 1)  # lambda_k(E_7) < floor; 7 is row 3
         vals = _lambda_values(table, 3000)
         assert n <= 3000 and vals[n] == 0.0
         with pytest.raises(FloorTooHigh):
