@@ -6,7 +6,12 @@ role in the linear algebra, and prime-indexed callers simply restrict to
 primes.  One private routine solves a batch of blocks, cuts each row at
 the floor and checks its top eigenvalue; local_spectrum runs it for one
 base and spectrum.build_table for every group of primes that shares a
-truncation order.  All returned values are immutable and safe to share.
+truncation order.  The solve is zero-shift dqd with its sweeps run as a
+wavefront: every sweep in flight advances by one position per numpy
+step, so a group of K x K blocks costs about K + 2S Python steps for S
+sweeps rather than K S, at the price of finishing the (K - 1) // 2
+sweeps in flight when the stopping test passes.  All returned values
+are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -97,6 +102,28 @@ def truncation_tail_bound(p, params: SpectralParams, K) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _check_blocks(p: np.ndarray, params: SpectralParams) -> None:
+    """Raise unless every base is a finite p > 1 and the exponents give
+    finite rho > 0 and tau > 0, the blocks the dqd solve is built for."""
+    if not (0.0 < params.rho < math.inf and params.tau > 0.0):
+        raise InvalidRegime(
+            f"local spectra need finite rho > 0 and tau > 0, got rho={params.rho}, tau={params.tau}"
+        )
+    bad = ~((1.0 < p) & (p < math.inf))
+    if bad.any():
+        raise ValueError(f"base p must be finite and exceed 1, got {p[bad].flat[0]}")
+
+
+def _sweep_cap(params: SpectralParams, logp: np.ndarray, K: int) -> int:
+    """Most dqd sweeps one group may take before the solve gives up.
+
+    Each sweep shrinks the off-diagonal by about p^(-rho), so the sweeps
+    stay below K + log(tol) / log(p^(-rho)) (about K at the truncation
+    order); allow twice that.
+    """
+    return 2 * (K + math.ceil(math.log(_DQD_TOL) / (-params.rho * float(logp.min()))))
+
+
 def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
     """Eigenvalues of the K x K blocks at the bases p, descending per block.
 
@@ -109,48 +136,79 @@ def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
     with positive arithmetic only.  It runs on the squared entries,
     batched over p, of the reversed factor J B^(-T) J (same singular
     values), whose diagonal already falls, so the sweeps polish the order
-    rather than build it.  Vectorises over p: an array of bases gives
-    shape p.shape + (K,).
+    rather than build it.
+
+    The sweeps run as a wavefront: sweep s takes its step at position i
+    at time 2s + i, and reads only what sweep s - 1 wrote at positions i
+    and i + 1.  So at each time step the sweeps in flight sit at
+    positions of one parity and advance together as one strided
+    operation on position-major (K + 1, n) arrays, each sweep doing the
+    floating-point operations of a sequential sweep in the same order.
+    The running d and the sweep's convergence flag move along with it.
+    The solve stops launching sweeps once one completes with every
+    e_i <= tol q_(i+1); the (K - 1) // 2 sweeps already in flight (fewer
+    at the sweep cap) then run to completion.
+
+    Vectorises over p: an array of bases gives shape p.shape + (K,).
+    Raises ValueError for a base that is not a finite p > 1 and
+    InvalidRegime unless rho is finite and positive and tau > 0.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 1.0):
-        raise ValueError("base p must exceed 1")
+    _check_blocks(p, params)
     if K < 1:
         raise ValueError("K must be >= 1")
-    logp = np.log(p).reshape(-1, 1)
-    j = np.arange(K, dtype=float)
+    logp = np.log(p).ravel()
     one_minus_x = -np.expm1(-params.tau * logp)
-    # squared diagonal q_j and subdiagonal e_j (j >= 1) of B^(-1)
+    # row i of the position-major arrays is position i of the reversed
+    # factor: squared diagonal q_i, and the squared off-diagonal before it
+    # as e_i (e_0 = 0); row K is a zero pad read by the last step.  They
+    # are filled in place, since with d they are a table build's peak.
+    jr = np.arange(K - 1, -1, -1, dtype=float)[:, None]
+    q = np.zeros((K + 1, logp.size))
+    e = np.zeros_like(q)
     with np.errstate(over="ignore"):
-        q = np.exp(params.rho * j * logp) / one_minus_x
-        q[:, -1] = np.exp(params.rho * (K - 1) * logp[:, 0])
-        e = np.exp((params.rho * j[1:] - params.tau) * logp) / one_minus_x
+        for rows, expo in ((q[:K], params.rho * jr), (e[1:K], params.rho * jr[:-1] - params.tau)):
+            np.exp(np.multiply(expo, logp, out=rows), out=rows)
+            rows /= one_minus_x
+        q[0] = np.exp(params.rho * (K - 1) * logp)
     if not np.all(np.isfinite(q)):
         raise OverflowError(
             f"p^(rho (K-1)) overflows double precision at K={K}, rho={params.rho}"
         )
-    q, e = q[:, ::-1].copy(), e[:, ::-1].copy()
-    # each sweep shrinks the off-diagonal by about p^(-rho), so the sweeps
-    # stay below K + log(tol) / log(p^(-rho)) (about K at the truncation
-    # order); allow twice that
-    max_sweeps = 2 * (K + math.ceil(math.log(_DQD_TOL) / (-params.rho * logp.min())))
-    for _ in range(max_sweeps):
-        if np.all(e <= _DQD_TOL * q[:, 1:]):
-            break
-        d = q[:, 0].copy()
-        for i in range(K - 1):
-            q[:, i] = d + e[:, i]
-            t = q[:, i + 1] / q[:, i]
-            e[:, i] *= t
-            d *= t
-        q[:, -1] = d
-    else:
+    max_sweeps = _sweep_cap(params, logp, K)
+    # d[i] and flag[i] belong to the sweep at position i: its running d,
+    # and whether some pair it wrote still has e_i > tol q_(i+1)
+    d = np.empty_like(q)
+    flag = np.zeros(K + 1, dtype=bool)
+    converged = bool(np.all(e[1:K] <= _DQD_TOL * q[1:K]))
+    launched = done = 0
+    t_now = 0
+    while done < launched or not (converged or launched == max_sweeps):
+        if t_now % 2 == 0 and not (converged or launched == max_sweeps):
+            d[0] = q[0]
+            launched += 1
+        # the newest sweep sits at lo, the oldest unfinished one at hi
+        lo, hi = t_now - 2 * (launched - 1), t_now - 2 * done
+        here, ahead = slice(lo, hi + 1, 2), slice(lo + 1, hi + 2, 2)
+        qi = np.add(d[here], e[ahead], out=q[here])
+        # t = q_(i+1) / q_i goes where the sweep's next d is due
+        t = np.divide(q[ahead], qi, out=d[ahead])
+        e[ahead] *= t
+        t *= d[here]
+        flag[ahead] = flag[here] | np.any(e[here] > _DQD_TOL * qi, axis=1)
+        if hi == K - 1:
+            converged = converged or not flag[K]
+            done += 1
+        t_now += 1
+    if not converged:
         raise EigensolverError(
             f"dqd failed to converge within {max_sweeps} sweeps at K={K}"
         )
+    del d, e  # freed before the sort copies q
+    lam = np.divide(1.0, q[:K], out=q[:K])
     # the stopping test bounds the off-diagonal, not the order of the
     # diagonal, so sort rather than reverse
-    return np.sort(1.0 / q, axis=1)[:, ::-1].reshape(p.shape + (K,))
+    return np.sort(lam.T, axis=1)[:, ::-1].reshape(p.shape + (K,))
 
 
 def _solve_rows(bases: np.ndarray, params: SpectralParams, K: int, floor: float):
@@ -191,16 +249,13 @@ def local_spectrum(
     solver, and discards eigenvalues at or below the floor as numerically
     untrustworthy, exactly as build_table does for each row of its table.
     """
-    if not (0.0 < params.rho < math.inf and params.tau > 0.0):
-        raise InvalidRegime(
-            f"local spectra need finite rho > 0 and tau > 0, got rho={params.rho}, tau={params.tau}"
-        )
     if not (0.0 < target_floor < 1.0):
         raise ValueError("target_floor must lie in (0, 1)")
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"base p must be finite and exceed 1, got {p}")
+    bases = np.array([p], dtype=float)
+    # the solve's own input check, run before truncation_order needs it
+    _check_blocks(bases, params)
     K = truncation_order(p, params, target_floor)
-    eig, kept = _solve_rows(np.array([p], dtype=float), params, K, target_floor)
+    eig, kept = _solve_rows(bases, params, K, target_floor)
     return LocalSpectrum(K, eig[0, kept[0]])
 
 

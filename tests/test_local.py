@@ -37,6 +37,37 @@ def top_eigenvector_overlap(p: float, params: SpectralParams, K: int) -> float:
     return float(abs(vecs[0, -1]))
 
 
+def sequential_dqd(p, params: SpectralParams, K: int):
+    """block_eigenvalues as one sweep after another: the same dqd steps on
+    the same entries, the stopping test after each whole sweep, then the
+    (K - 1) // 2 sweeps the wavefront has in flight when one passes.
+
+    Returns the rows of descending eigenvalues, one per base, and the
+    number of sweeps after which the stopping test first passed.
+    """
+    logp = np.log(np.atleast_1d(np.asarray(p, dtype=float))).reshape(-1, 1)
+    j = np.arange(K, dtype=float)
+    one_minus_x = -np.expm1(-params.tau * logp)
+    q = np.exp(params.rho * j * logp) / one_minus_x
+    q[:, -1] = np.exp(params.rho * (K - 1) * logp[:, 0])
+    e = np.exp((params.rho * j[1:] - params.tau) * logp) / one_minus_x
+    q, e = q[:, ::-1].copy(), e[:, ::-1].copy()
+    sweeps, passed = 0, None
+    while passed is None or sweeps < passed + (K - 1) // 2:
+        if passed is None and np.all(e <= local._DQD_TOL * q[:, 1:]):
+            passed = sweeps
+            continue
+        d = q[:, 0].copy()
+        for i in range(K - 1):
+            q[:, i] = d + e[:, i]
+            t = q[:, i + 1] / q[:, i]
+            e[:, i] *= t
+            d *= t
+        q[:, -1] = d
+        sweeps += 1
+    return np.sort(1.0 / q, axis=1)[:, ::-1], passed
+
+
 def top_overlap(p: float, params: SpectralParams) -> float:
     """The overlap at the truncation order local_spectrum uses."""
     return top_eigenvector_overlap(p, params, truncation_order(p, params, DEFAULT_FLOOR))
@@ -137,16 +168,52 @@ class TestBlockSolver:
             ref = np.linalg.eigvalsh(build_local_matrix(p, P25, K))[::-1]
             assert np.max(np.abs(eig - ref)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "p, params, K",
+        [(2, SpectralParams(0.25, 1.0), 102), (3, P25, 34), (7, SpectralParams(-0.45, 0.1), 20),
+         (np.array([2.0, 3.0, 7.0, 1999.0]), P25, 8), (np.array([2.0, 3.0, 7.0, 1999.0]), P25, 9),
+         (5, P25, 2), (5, P25, 3), (5, P25, 1)],
+        ids=["p2-K102", "p3-K34", "p7-K20", "batch-K8", "batch-K9", "p5-K2", "p5-K3", "p5-K1"],
+    )
+    def test_wavefront_equals_sequential_sweeps(self, p, params, K, monkeypatch):
+        ref, passed = sequential_dqd(p, params, K)
+        got = block_eigenvalues(p, params, K).reshape(-1, K)
+        assert np.array_equal(got, ref)
+        # the stopping test passes after the same sweep as in the reference
+        monkeypatch.setattr(local, "_sweep_cap", lambda *args: passed)
+        block_eigenvalues(p, params, K)
+        if passed > 0:
+            monkeypatch.setattr(local, "_sweep_cap", lambda *args: passed - 1)
+            with pytest.raises(EigensolverError):
+                block_eigenvalues(p, params, K)
+
     def test_overlap_is_first_eigvector_component(self):
         w, v = np.linalg.eigh(build_local_matrix(5, P25, 12))
         assert top_eigenvector_overlap(5, P25, 12) == abs(v[0, -1])
 
     def test_batch_matches_single_blocks(self):
         ps = np.array([[2.0, 3.0], [7.0, 1999.0]])
-        stack = block_eigenvalues(ps, P25, 9)
-        assert stack.shape == (2, 2, 9)
-        for p, eig in zip(ps.ravel(), stack.reshape(4, 9)):
-            np.testing.assert_allclose(eig, block_eigenvalues(p, P25, 9), rtol=1e-14, atol=0)
+        for K in (3, 8, 9):
+            stack = block_eigenvalues(ps, P25, K)
+            assert stack.shape == (2, 2, K)
+            for p, eig in zip(ps.ravel(), stack.reshape(4, K)):
+                np.testing.assert_allclose(eig, block_eigenvalues(p, P25, K), rtol=1e-14, atol=0)
+
+    # the longest blocks of small-rho tables: rho = 0.1 at p = 2 and 3, rho = 0.2 at p = 2
+    @pytest.mark.parametrize(
+        "p, params, K",
+        [(2, SpectralParams(0.45, 1.0), 501), (3, SpectralParams(0.45, 1.0), 317),
+         (2, SpectralParams(0.4, 1.0), 252)],
+        ids=["rho0.1-p2", "rho0.1-p3", "rho0.2-p2"],
+    )
+    def test_long_blocks_keep_trace_identities(self, p, params, K):
+        assert truncation_order(p, params, DEFAULT_FLOOR) == K
+        eig = block_eigenvalues(p, params, K)
+        A = build_local_matrix(p, params, K)
+        trace = math.fsum(np.diag(A))
+        frobenius2 = math.fsum((A * A).ravel())
+        assert abs(math.fsum(eig) - trace) <= 1e-13 * trace
+        assert abs(math.fsum(eig * eig) - frobenius2) <= 1e-13 * frobenius2
 
     def test_small_orders(self):
         assert block_eigenvalues(5, P25, 1).tolist() == [1.0]
@@ -156,6 +223,26 @@ class TestBlockSolver:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             block_eigenvalues(1e300, P25, 3)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.0])
+    def test_rejects_non_finite_or_small_base(self, p):
+        with pytest.raises(ValueError, match="base p must be finite and exceed 1"):
+            block_eigenvalues(np.array([3.0, p]), P25, 3)
+
+    @pytest.mark.parametrize(
+        "params", [SpectralParams(-0.5, 0.0), SpectralParams(0.6, 1.0), SpectralParams(0.5, 1.0)],
+        ids=["tau-zero", "rho-negative", "rho-zero"],
+    )
+    def test_rejects_bad_regime(self, params):
+        with pytest.raises(InvalidRegime, match="finite rho > 0 and tau > 0"):
+            block_eigenvalues(2, params, 5)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(local, "_sweep_cap", lambda *args: 1)
+        with pytest.raises(EigensolverError, match="within 1 sweeps at K=34"):
+            block_eigenvalues(3, P25, 34)
+        with pytest.raises(EigensolverError, match="within 1 sweeps"):
+            local_spectrum(3, P25)
 
 
 class TestLocalSpectrum:

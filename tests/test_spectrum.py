@@ -383,6 +383,11 @@ class TestFlatTable:
             assert got.eigenvalues.size == ref.eigenvalues.size
             np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-13, atol=0)
 
+    def test_rebuild_is_byte_identical(self):
+        first, second = build_table(P25, 2000), build_table(P25, 2000)
+        assert first.lambda0.tobytes() == second.lambda0.tobytes()
+        assert first.kept_ratios.tobytes() == second.kept_ratios.tobytes()
+
     @pytest.mark.parametrize("name", ["table_small", "table_counting"])
     def test_envelope_matches_per_prime_loop(self, name, request):
         table = request.getfixturevalue(name)
