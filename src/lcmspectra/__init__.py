@@ -14,7 +14,6 @@ from .arith import (
     factorize,
     lcm_grid,
     primes_up_to,
-    smallest_prime_factor_table,
     zeta_real,
 )
 from .beurling import (

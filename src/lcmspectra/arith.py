@@ -19,7 +19,6 @@ from .errors import InvalidRegime
 __all__ = [
     "SpectralParams",
     "primes_up_to",
-    "smallest_prime_factor_table",
     "factorize",
     "lcm_grid",
     "zeta_real",
@@ -94,23 +93,6 @@ def primes_up_to(limit: int) -> np.ndarray:
         chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
         lo = hi
     return np.concatenate(chunks)
-
-
-def smallest_prime_factor_table(limit: int) -> np.ndarray:
-    """spf[n] = least prime factor of n for 2 <= n <= limit (spf[1] = 1)."""
-    limit = int(limit)
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            idx = np.arange(p * p, limit + 1, p)
-            idx = idx[spf[idx] == 0]
-            spf[idx] = p
-    untouched = np.flatnonzero(spf == 0)
-    spf[untouched] = untouched  # primes, including the sieving ones, and spf[0] = 0
-    return spf
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

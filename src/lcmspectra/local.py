@@ -73,8 +73,15 @@ def truncation_order(p, params: SpectralParams, target_floor: float):
     """Block size placing the discarded diagonal a decade below the floor.
 
     The diagonal p^(-rho k) sets the scale of what truncation throws away;
-    two extra rows add safety margin.  Vectorises over p.
+    two extra rows add safety margin.  Vectorises over p.  Raises
+    ValueError unless 0 < target_floor < 1 and every base is a finite
+    p > 1, and InvalidRegime unless rho is finite and positive and tau > 0.
     """
+    if not (0.0 < target_floor < 1.0):
+        raise ValueError("target_floor must lie in (0, 1)")
+    # no float copy of p outlives its use: the table constructor calls this
+    # at build_table's memory peak
+    _check_blocks(np.asarray(p, dtype=float), params)
     logp = np.log(np.asarray(p, dtype=float))
     K = np.ceil(math.log(target_floor / 10.0) / (-params.rho * logp)).astype(np.int64)
     K = np.maximum(K + 2, 3)
@@ -249,13 +256,8 @@ def local_spectrum(
     solver, and discards eigenvalues at or below the floor as numerically
     untrustworthy, exactly as build_table does for each row of its table.
     """
-    if not (0.0 < target_floor < 1.0):
-        raise ValueError("target_floor must lie in (0, 1)")
-    bases = np.array([p], dtype=float)
-    # the solve's own input check, run before truncation_order needs it
-    _check_blocks(bases, params)
     K = truncation_order(p, params, target_floor)
-    eig, kept = _solve_rows(bases, params, K, target_floor)
+    eig, kept = _solve_rows(np.array([p], dtype=float), params, K, target_floor)
     return LocalSpectrum(K, eig[0, kept[0]])
 
 

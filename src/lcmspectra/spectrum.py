@@ -11,7 +11,7 @@ cutoff, and cross-checks against dense finite sections.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import logging
 import math
 import os
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpectralParams, lcm_grid, primes_up_to, smallest_prime_factor_table
+from .arith import SpectralParams, lcm_grid, primes_up_to
 from .errors import (
     CertificateUnavailable,
     EnumerationInfeasible,
@@ -65,7 +65,7 @@ DEFAULT_MAX_ENUMERATION = 2_000_000
 _SOLVER_MARGIN = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalEigenvalue:
     """One eigenvalue lambda_n with its index n."""
 
@@ -125,8 +125,13 @@ class GlobalSpectrumTable:
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
     length and owner[j] the row of kept_ratios[j].  Every array is
-    read-only and nothing is cached after construction, so queries may run
-    concurrently.
+    read-only.  Two values are computed once, on first use, and kept
+    read-only: the envelope, and row_of, the row of the least prime
+    factor of every integer up to p_max (4 bytes per integer: 3.8 MB at
+    p_max = 10^6, 38 MB and about 0.3 s at 10^7), so a table used only
+    for kappa never builds it.  Queries may run concurrently; if two
+    threads use a table for the first time at once, a value may be
+    computed twice, which does no harm.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, and tail_exponent_bound a certified bound t_bound on the log
@@ -162,9 +167,43 @@ class GlobalSpectrumTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def envelope(self) -> SpectralEnvelope:
-        """The certified envelope, recomputed on each call (milliseconds)."""
+    def __getstate__(self) -> dict:
+        # the cached members are rebuilt on first use, and memoryviews do
+        # not pickle
+        cached = {"row_of", "_views", "_envelope"}
+        return {k: v for k, v in self.__dict__.items() if k not in cached}
+
+    @functools.cached_property
+    def row_of(self) -> np.ndarray:
+        """row_of[m] is the row of the least prime factor of m, for
+        2 <= m <= p_max (int32; row_of[0] = row_of[1] = -1).
+
+        Every composite m <= p_max has a least prime factor p <= sqrt(p_max)
+        and m >= p^2, so marking p^2, p^2 + p, ... for those primes in
+        descending order leaves the least one last.
+        """
+        row_of = np.empty(self.p_max + 1, dtype=np.int32)
+        row_of[:2] = -1
+        row_of[self.primes] = np.arange(len(self.primes), dtype=np.int32)
+        roots = self.primes[: np.searchsorted(self.primes, math.isqrt(self.p_max), "right")]
+        for i, p in reversed(list(enumerate(roots.tolist()))):
+            row_of[p * p :: p] = i
+        row_of.setflags(write=False)
+        return row_of
+
+    @functools.cached_property
+    def _views(self) -> tuple[memoryview, ...]:
+        """The arrays lambda_of reads, as memoryviews (Python scalars, no copy)."""
+        arrays = (self.primes, self.offsets, self.lengths, self.kept_ratios, self.row_of)
+        return tuple(map(memoryview, arrays))
+
+    @functools.cached_property
+    def _envelope(self) -> SpectralEnvelope:
         return _build_envelope(self)
+
+    def envelope(self) -> SpectralEnvelope:
+        """The certified envelope, computed on the first call and kept."""
+        return self._envelope
 
 
 def build_table(
@@ -222,38 +261,37 @@ def build_table(
 def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     """lambda_n via the product formula: Lambda_0 times per-prime ratios.
 
-    n is factored by trial division by the table's own primes up to its
-    square root, and a remaining prime cofactor is located by bisection;
-    the ratios are multiplied in ascending-prime order, as in the lambda
-    sieve.  The table's arrays are read through memoryviews (Python
-    scalars, no copy).
+    While the cofactor of n exceeds p_max it is trial-divided by the
+    table's primes; from there on each least prime factor is read from
+    table.row_of.  The ratios are multiplied in ascending-prime order, as
+    in the lambda sieve, and the smallest prime without a usable ratio
+    raises.  The table's arrays are read through memoryviews that the
+    table keeps (Python scalars, no copy).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    primes = memoryview(table.primes)
-    offsets = memoryview(table.offsets)
-    lengths = memoryview(table.lengths)
-    ratios = memoryview(table.kept_ratios)
+    primes, offsets, lengths, ratios, row_of = table._views
+    p_max = table.p_max
     value = table.base_product
     m = int(n)
-    factors = []
-    for i, p in enumerate(primes):
-        if p * p > m:
-            break
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            factors.append((i, p, k))
-    if m > 1:  # a prime, or (every table prime tried) a product of primes above p_max
-        factors.append((bisect.bisect_left(primes, m), m, 1))
-    for i, p, k in factors:
-        if p > table.p_max:
-            raise PrimeOutOfRange(
-                f"factor {p} of n={n} has no prime factor up to the table cutoff"
-                f" {table.p_max}"
-            )
+    i = 0  # trial division has removed every prime below primes[i]
+    while m > 1:
+        if m <= p_max:
+            i = row_of[m]
+        else:
+            while i < len(primes) and m % primes[i] and primes[i] ** 2 <= m:
+                i += 1
+            if i == len(primes) or m % primes[i]:
+                # a prime above p_max, or a product of such primes
+                raise PrimeOutOfRange(
+                    f"factor {m} of n={n} has no prime factor up to the table cutoff"
+                    f" {p_max}"
+                )
+        p = primes[i]
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
         if k > lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
         value *= ratios[offsets[i] + k - 1]
@@ -265,20 +303,21 @@ def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
     contribute 0 (kept total, never silently wrong).
 
     Each round peels the smallest prime power p^k off every unfinished n,
-    so Lambda_0 is multiplied by the ratios in ascending-prime order, as
-    in lambda_of, and the values are bit-identical to it.
+    its row read from table.row_of, so Lambda_0 is multiplied by the
+    ratios in ascending-prime order, as in lambda_of, and the values are
+    bit-identical to it.
     """
     if n_max > table.p_max:
         raise PrimeOutOfRange(
             f"enumeration needs p_max >= n_max, got p_max={table.p_max} < {n_max}"
         )
-    spf = smallest_prime_factor_table(n_max)
     vals = np.full(n_max + 1, table.base_product)
     vals[0] = 0.0
     ns = np.arange(2, n_max + 1)
     rest = ns.copy()
     while ns.size:
-        p = spf[rest]
+        i = table.row_of[rest]
+        p = table.primes[i]
         rest //= p
         k = np.ones(ns.size, dtype=np.int64)
         again = np.flatnonzero(rest % p == 0)
@@ -286,7 +325,6 @@ def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
             rest[again] //= p[again]
             k[again] += 1
             again = again[rest[again] % p[again] == 0]
-        i = np.searchsorted(table.primes, p)
         ok = k <= table.lengths[i]
         factor = np.zeros(ns.size)
         factor[ok] = table.kept_ratios[table.offsets[i[ok]] + k[ok] - 1]

@@ -13,7 +13,6 @@ from lcmspectra import (
     factorize,
     lcm_grid,
     primes_up_to,
-    smallest_prime_factor_table,
     zeta_real,
 )
 from lcmspectra.toeplitz import _power_sums
@@ -75,11 +74,12 @@ class TestPrimes:
                 flags[p * p :: p] = False
         assert np.array_equal(big, np.flatnonzero(flags))
 
-    def test_spf_table(self):
-        spf = smallest_prime_factor_table(5000)
-        assert spf[1] == 1
-        for n in range(2, 5001):
-            assert spf[n] == factorize(n)[0][0]
+    def test_spf_table(self, table_small):
+        # the table's least-prime-factor row index against trial division
+        primes, row_of = table_small.primes, table_small.row_of
+        assert row_of.size == table_small.p_max + 1
+        for m in range(2, table_small.p_max + 1):
+            assert primes[row_of[m]] == factorize(m)[0][0]
 
 
 class TestFactorize:

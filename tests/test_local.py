@@ -113,6 +113,20 @@ class TestBuildMatrix:
             assert Ks.tolist() == [truncation_order(int(p), params, 1e-14) for p in ps]
             assert Ks[0] == math.ceil(math.log(1e-15) / (-params.rho * math.log(2))) + 2
 
+    def test_truncation_order_rejects_nan_base(self):
+        with pytest.raises(ValueError):
+            truncation_order(math.nan, P25, 1e-14)
+
+    @pytest.mark.parametrize("sigma, tau", [(0.5, 1.0), (0.6, 1.0)])
+    def test_truncation_order_rejects_rho_at_most_zero(self, sigma, tau):
+        with pytest.raises(InvalidRegime):
+            truncation_order(2, SpectralParams(sigma, tau), 1e-14)
+
+    @pytest.mark.parametrize("floor", [2.0, 1.0, 0.0, math.nan])
+    def test_truncation_order_rejects_floor_outside_unit_interval(self, floor):
+        with pytest.raises(ValueError):
+            truncation_order(2, P25, floor)
+
 
 # (p, params) blocks checked against 30-digit mpmath: the largest block of a
 # rho = 1/2 table (K = 102), two rho = 1 blocks, and two regimes where the

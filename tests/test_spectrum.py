@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import struct
 import zlib
 
@@ -28,7 +29,13 @@ from lcmspectra import (
 )
 from lcmspectra.kappa import g_p_at, kappa_numeric
 from lcmspectra.local import LocalSpectrum, hs_bound_squared, local_spectrum
-from lcmspectra.spectrum import _HEADER, _cache_path, _lambda_values, _product_tail_bound
+from lcmspectra.spectrum import (
+    _HEADER,
+    _build_envelope,
+    _cache_path,
+    _lambda_values,
+    _product_tail_bound,
+)
 
 P25 = SpectralParams(0.25, 1.5)
 
@@ -140,6 +147,15 @@ class TestLambdaOf:
             assert _outcome(_lambda_of_factorize, n, table_small) is exc
         with pytest.raises(ValueError):
             lambda_of(0, table_small)
+
+    def test_matches_factorize_loop_at_branch_boundaries(self, table_small):
+        # trial division runs only while the cofactor exceeds p_max = 2000;
+        # 1999 is the largest table prime and 2003 the first one above it
+        top = int(table_small.lengths[0])
+        for n in (2000, 2001, 2 * 1999, 1999**2, 1999 * 2003, 2**top * 1999):
+            assert _outcome(_lambda_value, n, table_small) == _outcome(
+                _lambda_of_factorize, n, table_small
+            ), n
 
     def test_n_one_is_base_product(self, table_small):
         assert lambda_of(1, table_small).value == table_small.base_product
@@ -374,6 +390,31 @@ class TestFlatTable:
     def test_read_only(self, table_small):
         for a in (table_small.kept_ratios, table_small.offsets, table_small.lambda0):
             assert not a.flags.writeable
+
+    def test_kappa_path_builds_no_row_index(self):
+        table = build_table(P25, 2000)
+        table.envelope()
+        kappa_numeric(P25, table=table)
+        assert "row_of" not in table.__dict__
+
+    def test_row_index_built_on_first_lookup_and_read_only(self):
+        table = build_table(P25, 2000)
+        lambda_of(6, table)
+        assert "row_of" in table.__dict__
+        assert not table.row_of.flags.writeable
+        assert table.row_of.dtype == np.int32
+
+    def test_pickles_after_first_use(self):
+        table = build_table(P25, 2000)
+        want = lambda_of(6, table).value
+        back = pickle.loads(pickle.dumps(table))
+        assert "row_of" not in back.__dict__
+        assert lambda_of(6, back).value == want
+
+    def test_envelope_computed_once(self, table_small):
+        env = table_small.envelope()
+        assert table_small.envelope() is env
+        assert env == _build_envelope(table_small)
 
     def test_rows_match_single_block_solve(self, table_small):
         for p in (2, 3, 97, 1999):
