@@ -68,29 +68,32 @@ def _sieve_flags(limit: int) -> np.ndarray:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending.
+    """All primes <= limit, ascending, as int64.
 
-    Plain sieve of Eratosthenes below ~10^6, segmented above it so that
-    cutoffs around 10^7 stay cheap on memory.
+    Segmented sieve of Eratosthenes: the primes up to sqrt(limit), from a
+    plain sieve, strike their multiples from windows of 2^20 numbers above
+    sqrt(limit), so the sieve itself needs about 1 MB at any limit; a
+    limit up to 2^20 takes a single window.
     """
     limit = int(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit <= _SEGMENT:
-        return np.flatnonzero(_sieve_flags(limit)).astype(np.int64)
     root = math.isqrt(limit)
-    base = np.flatnonzero(_sieve_flags(root)).astype(np.int64)
+    base = np.flatnonzero(_sieve_flags(root))
     chunks = [base]
     lo = root + 1
     while lo <= limit:
         hi = min(lo + _SEGMENT, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start < hi:
                 seg[start - lo :: p] = False
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
+        # shifted in place: one more window-sized copy showed in peak RSS
+        found = np.flatnonzero(seg)
+        del seg
+        found += lo
+        chunks.append(found)
         lo = hi
     return np.concatenate(chunks)
 

@@ -48,10 +48,6 @@ class BeurlingSystem:
         if g.size and (g[0] <= 1.0 or np.any(np.diff(g) < 0)):
             raise ValueError("generators must exceed 1 and ascend")
 
-    @property
-    def rho(self) -> float:
-        return self.params.rho
-
 
 def system_from_spectra(table: GlobalSpectrumTable) -> BeurlingSystem:
     """Generators r_p = (lambda_1(E_p)/lambda_0(E_p))^(-1/rho), sorted."""
@@ -107,9 +103,6 @@ def beurling_integers(
         first = np.cumsum(counts) - counts
         j = np.arange(parent.size) - first[parent] + j[parent]
         v = v[parent] * gens[j]
-        keep = v <= x
-        if not keep.all():  # only a NaN x gets here
-            v, j = v[keep], j[keep]
         levels.append(v)
     values = np.sort(np.concatenate(levels))
     # a value is dropped when within 1e-12 v of the last kept value; only

@@ -134,8 +134,6 @@ def cmd_local_eigs(args) -> None:
 def cmd_spectrum(args) -> None:
     # the base product needs primes well beyond nmax to converge
     p_max = max(args.nmax, 10_000) if args.pmax is None else args.pmax
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
     table = _table(args, p_max)
     rho = table.params.rho
     rows = [
@@ -198,7 +196,16 @@ def cmd_toeplitz_compare(args) -> None:
     table = _table(args, args.pmax)
     top = min(args.top, args.n)
     rescaled = rescaled_singular_values(args.n, args.sigma, top)
-    reference = enumerate_spectrum(table, max(64, 4 * top))[:top]
+    window = max(64, 4 * top)
+    reference = enumerate_spectrum(table, window)[:top]
+    # the counting cutoff for the top-th value v of the window bounds every
+    # index whose value reaches v, so the true top lies below it
+    v = reference[-1].value
+    if v == 0.0:
+        raise FloorTooHigh(f"lambda_n of rank {top} lies below the floor {table.floor}")
+    n_cut = counting_mu(table, (1.0 + 1e-12) / v, max_enumeration=table.p_max).n_cut
+    if n_cut > window:
+        reference = enumerate_spectrum(table, n_cut)[:top]
     rows = []
     for rank in range(top):
         lam = reference[rank].value

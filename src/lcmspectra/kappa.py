@@ -79,14 +79,16 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     """kappa = (prod_{p <= p_max} g_p(1/rho))^(-rho) over the table's primes,
     with a tail estimate.
 
-    The per-prime factors decay like p^(-theta) with
-    theta = min(tau + rho, 2, 1 + tau/2); the tail constant is fitted on
-    the top decade of computed primes with a 10x safety factor and is NOT
-    rigorous (the asymptotic constants are unknown).  For slowly decaying
-    tails (rho < 1) and more than 16 primes, a two-point geometric
-    extrapolation in the cutoff refines the central value, and
-    `extrapolated` says whether it ran; the reported uncertainty stays at
-    the conservative fitted bound.
+    The uncertainty bounds |g_p - 1| by C p^(-theta) with the
+    conservative exponent theta = min(tau + rho, 2, 1 + tau/2) (reported
+    as tail_exponent); C is fitted on the top decade of computed primes
+    with a 10x safety factor and is NOT rigorous (the asymptotic constants
+    are unknown).  For slowly decaying tails (rho < 1) and more than 16
+    primes, a two-point geometric extrapolation in the cutoff refines the
+    central value, and `extrapolated` says whether it ran.  The step uses
+    the measured decay g_p - 1 ~ p^(-(tau + rho)) / rho, not theta; the
+    uncertainty keeps theta, the only exponent that also covers the floor
+    bias at rho > 1.
 
     The table must have been built for params.
     """
@@ -107,9 +109,8 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     log_g = math.fsum(logs)
 
     theta = min(params.tau + params.rho, 2.0, 1.0 + params.tau / 2.0)
+    # never empty: Bertrand's postulate puts a prime in (m, 2m] for m >= 1
     window = primes >= max(2, p_max // 10)
-    if not window.any():
-        window = np.ones_like(primes, dtype=bool)
     c_fit = _TAIL_SAFETY * float(
         np.max(np.abs(g[window] - 1.0) * primes[window].astype(float) ** theta)
     )
@@ -120,7 +121,7 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     if extrapolated:
         half_mask = primes <= p_max // 2
         delta = log_g - math.fsum(logs[half_mask])
-        correction = delta / (2.0 ** (theta - 1.0) - 1.0)
+        correction = delta / (2.0 ** (params.tau + params.rho - 1.0) - 1.0)
 
     kappa = math.exp(-params.rho * (log_g + correction))
     uncertainty = kappa * params.rho * tail

@@ -226,7 +226,7 @@ def build_table(
         raise ValueError("target_floor must lie in (0, 1)")
     p_max = int(p_max)
     if p_max < 2:
-        raise ValueError("p_max must be >= 2")
+        raise ValueError(f"p_max must be >= 2, got {p_max}")
     cache_path = None
     if cache_dir:
         cache_path = _cache_path(cache_dir, params, p_max, target_floor)
@@ -344,9 +344,9 @@ def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> list[GlobalEig
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     vals = _lambda_values(table, n_max)[1:]
-    ns = np.arange(1, n_max + 1)
-    order = np.lexsort((ns, -vals))
-    return list(map(GlobalEigenvalue, ns[order].tolist(), vals[order].tolist()))
+    # a stable sort keeps ties in ascending n
+    order = np.argsort(-vals, kind="stable")
+    return list(map(GlobalEigenvalue, (order + 1).tolist(), vals[order].tolist()))
 
 
 def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:
@@ -364,12 +364,9 @@ def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:
     f_row = np.full(len(table), -np.inf)
     np.maximum.at(f_row, o, f)
     log_cstar = math.fsum(f_row[f_row > 0.0])
-    # a row's largest excluded eigenvalue, or the floor if it excludes none
-    excluded = ~inc
-    none_excluded = np.bincount(owner[excluded], minlength=len(table)) == 0
-    cap = float(np.max(np.concatenate((
-        [table.floor], (lamk + err[owner])[excluded], (table.floor + err)[none_excluded]
-    ))))
+    # the largest excluded eigenvalue, or the floor; every kept eigenvalue
+    # lies above the floor, so floor + err covers the rows excluding none
+    cap = float(np.max((lamk + err[owner])[~inc], initial=np.max(table.floor + err)))
     eps = math.log(best_envelope(float(table.p_max), params).c_upper) / math.log(
         table.p_max
     )

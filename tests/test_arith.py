@@ -64,15 +64,21 @@ class TestPrimes:
     def test_vs_trial_division(self):
         assert primes_up_to(500).tolist() == oracle_primes(500)
 
-    def test_segmented_matches_plain(self):
-        # 2_200_000 forces at least one segment boundary
-        big = primes_up_to(2_200_000)
-        flags = np.ones(2_200_001, dtype=bool)
+    @pytest.mark.parametrize(
+        "limit",
+        # a root below 2 (no base primes), one window ending at or just
+        # past 2^20, and 2_200_000 crossing two window boundaries
+        [2, 3, 4, 5, 2**20 - 1, 2**20, 2**20 + 1, 2_200_000],
+    )
+    def test_segmented_matches_plain(self, limit):
+        got = primes_up_to(limit)
+        flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
-        for p in range(2, 1484):
+        for p in range(2, math.isqrt(limit) + 1):
             if flags[p]:
                 flags[p * p :: p] = False
-        assert np.array_equal(big, np.flatnonzero(flags))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.flatnonzero(flags))
 
     def test_spf_table(self, table_small):
         # the table's least-prime-factor row index against trial division

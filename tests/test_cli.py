@@ -11,6 +11,7 @@ from lcmspectra import (
     SpectralParams,
     build_table,
     count_integers,
+    enumerate_spectrum,
     gram_via_formula,
     local,
     system_from_spectra,
@@ -208,6 +209,19 @@ class TestOtherCommands:
         vals = [float(r[1]) for r in rows]
         assert vals == sorted(vals, reverse=True) and vals[-1] > 0.0
 
+    def test_toeplitz_compare_ranks_against_certified_top(self, capsys):
+        # at sigma = 0.4 the top 100 reach n = 491, past the first window
+        # of 400 indices, so the reference is enumerated again to n_cut
+        code, out, _ = run(
+            ["toeplitz-compare", "--sigma", "0.4", "--n", "128", "--top", "100",
+             "--pmax", "100000"],
+            capsys,
+        )
+        assert code == 0
+        got = [float(l.split(",")[2]) for l in out.splitlines()[2:]]
+        table = build_table(SpectralParams(0.4, 1.0), 100_000)
+        assert got == [e.value for e in enumerate_spectrum(table, 100_000)[:100]]
+
 
 class TestVerify:
     def test_passes_and_prints(self, capsys):
@@ -254,6 +268,29 @@ class TestExitCodes:
         assert err.startswith("error: certificate unavailable")
         assert "p_max >= n_max" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "floor, reason",
+        # rank 3 lies below a floor of 0.5; at 0.01 its value is too close
+        # to the floor for a certified cutoff
+        [("0.5", "below the floor"), ("0.01", "too close to the numerical floor")],
+    )
+    def test_toeplitz_compare_without_certificate_is_three(self, floor, reason, capsys):
+        code, out, err = run(
+            ["toeplitz-compare", "--sigma", "0.25", "--n", "64", "--top", "3",
+             "--pmax", "2000", "--floor", floor],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: certificate unavailable") and reason in err
+
+    def test_spectrum_pmax_error_names_value(self, capsys):
+        code, _, err = run(
+            ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "3", "--pmax=-5"],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: invalid parameters: p_max must be >= 2, got -5\n"
 
     def test_lanczos_failure_is_four(self, capsys, monkeypatch):
         import scipy.sparse.linalg as sla

@@ -120,6 +120,29 @@ class TestKappaNumeric:
         assert not comp.extrapolated
         assert comp.kappa == math.exp(-pars.rho * math.fsum(np.log(comp.g_factors)))
 
+    def test_extrapolation_step_uses_decay_exponent(self):
+        # the step divides by 2^(tau + rho - 1) - 1; the fitted bound keeps
+        # theta = min(tau + rho, 2, 1 + tau/2) = 1.5 < tau + rho = 1.8
+        pars = SpectralParams(0.1, 1.0)
+        table = build_table(pars, 2_000)
+        comp = kappa_numeric(pars, table=table)
+        logs = np.log(comp.g_factors)
+        log_g = math.fsum(logs)
+        delta = log_g - math.fsum(logs[table.primes <= 1_000])
+        step = delta / (2.0 ** (pars.tau + pars.rho - 1.0) - 1.0)
+        assert comp.extrapolated and comp.tail_exponent == 1.5
+        assert comp.kappa == math.exp(-pars.rho * (log_g + step))
+
+    @pytest.mark.parametrize(
+        "sigma, tau, bound",
+        # extrapolating with theta instead drifted 8.7e-6 and 5.7e-5
+        [(0.25, 1.25, 2e-6), (0.1, 1.0, 2e-5)],
+    )
+    def test_extrapolation_stable_in_p_max(self, sigma, tau, bound):
+        pars = SpectralParams(sigma, tau)
+        k4, k5 = (kappa_at(pars, p_max).kappa for p_max in (10_000, 100_000))
+        assert abs(k5 - k4) < bound * k5
+
     def test_doubling_within_uncertainty(self):
         pars = SpectralParams(0.25, 1.0)
         c1 = kappa_at(pars, 5_000)

@@ -437,6 +437,16 @@ class TestFlatTable:
         assert env.c_star == pytest.approx(c_star, rel=1e-13, abs=0)
         assert env.cap == cap
 
+    @pytest.mark.parametrize("floor", [0.3, 0.9])
+    def test_envelope_cap_with_few_or_no_kept_ratios(self, floor):
+        # most rows (floor 0.3) or all of them (0.9) keep no ratio, so
+        # floor + err sets the cap
+        table = build_table(P25, 50, target_floor=floor)
+        c_star, cap = _envelope_loop(table)
+        env = table.envelope()
+        assert env.c_star == pytest.approx(c_star, rel=1e-13, abs=0)
+        assert env.cap == cap
+
     @pytest.mark.parametrize("name", ["table_small", "table_half"])
     def test_euler_factors_match_g_p_at(self, name, request):
         table = request.getfixturevalue(name)
