@@ -141,7 +141,7 @@ def zeta_real(s: float) -> float:
     """Riemann zeta at real s > 1: partial sum plus Euler-Maclaurin tail.
 
     Correction terms through B6 = 1/42 give roughly 1e-12 absolute
-    accuracy for s in (1, 40] at the cutoff, without arbitrary precision.
+    accuracy for s in (1, 55] at the cutoff, without arbitrary precision.
     """
     if s <= 1.0:
         raise InvalidRegime("zeta_real requires s > 1")

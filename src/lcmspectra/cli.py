@@ -39,6 +39,7 @@ from .kappa import kappa_closed_form, kappa_numeric
 from .local import DEFAULT_FLOOR, best_envelope, corner_quadratic_form, local_spectrum
 from .spectrum import (
     DEFAULT_MAX_ENUMERATION,
+    _lambda_values,
     build_table,
     counting_mu,
     enumerate_spectrum,
@@ -179,12 +180,10 @@ def cmd_kappa(args) -> None:
         closed = None
     fields = {
         "kappa": comp.kappa,
-        "uncertainty": comp.uncertainty,
         "closed_form": closed,
         "p_max": comp.p_max,
         "s": comp.s,
-        "tail_exponent": comp.tail_exponent,
-        "extrapolated": comp.extrapolated,
+        "tail": comp.tail,
     }
     if args.format == "csv":
         _emit(args, list(fields), [list(fields.values())])
@@ -197,19 +196,18 @@ def cmd_toeplitz_compare(args) -> None:
     top = min(args.top, args.n)
     rescaled = rescaled_singular_values(args.n, args.sigma, top)
     window = max(64, 4 * top)
-    reference = enumerate_spectrum(table, window)[:top]
+    reference = np.sort(_lambda_values(table, window)[1:])[::-1][:top]
     # the counting cutoff for the top-th value v of the window bounds every
     # index whose value reaches v, so the true top lies below it
-    v = reference[-1].value
+    v = float(reference[-1])
     if v == 0.0:
         raise FloorTooHigh(f"lambda_n of rank {top} lies below the floor {table.floor}")
     n_cut = counting_mu(table, (1.0 + 1e-12) / v, max_enumeration=table.p_max).n_cut
     if n_cut > window:
-        reference = enumerate_spectrum(table, n_cut)[:top]
+        reference = np.sort(_lambda_values(table, n_cut)[1:])[::-1][:top]
     rows = []
-    for rank in range(top):
-        lam = reference[rank].value
-        rows.append([rank + 1, float(rescaled[rank]), lam, float(rescaled[rank] / lam - 1.0)])
+    for rank, (sv, lam) in enumerate(zip(rescaled.tolist(), reference.tolist())):
+        rows.append([rank + 1, sv, lam, sv / lam - 1.0])
     _emit(args, ["rank", "rescaled_sv_sq", "lambda_product", "rel_gap"], rows)
 
 

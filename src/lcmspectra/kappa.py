@@ -3,19 +3,20 @@
 The ordered eigenvalues obey lambda_n ~ kappa / n^rho, with
 kappa = g(1/rho)^(-rho) for the Euler product
 g(s) = prod_p (1 - p^(-rho s)) sum_k lambda_k(E_p)^s.  This module
-evaluates the product over the primes of a prebuilt spectral table, with
-a fitted tail estimate, and provides the two closed-form cases (rho = 1
-and rho = 1/2); g_p_at evaluates one factor from a local spectrum.
+evaluates the product over the primes of a prebuilt spectral table with a
+closed-form tail beyond its cutoff, summed through the prime zeta function,
+and the two closed forms (rho = 1 and 1/2); g_p_at evaluates one factor.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpectralParams, zeta_real
+from .arith import SpectralParams, factorize, zeta_real
 from .errors import InvalidRegime, NoClosedForm
 from .local import DEFAULT_FLOOR, LocalSpectrum, local_spectrum
 from .spectrum import GlobalSpectrumTable
@@ -28,8 +29,8 @@ __all__ = [
     "kappa_closed_form",
 ]
 
+# a term below this, next to 1, is invisible in double precision
 _TERM_CUT = 1e-16
-_TAIL_SAFETY = 10.0
 
 
 def s_threshold(params: SpectralParams) -> float:
@@ -61,6 +62,38 @@ def g_p_at(
     return (1.0 - float(p) ** (-params.rho * s)) * math.fsum(terms[:cut])
 
 
+def _prime_zeta_tail(a: float, primes: np.ndarray, p_max: int) -> float:
+    """P_>(a) = sum_{p > p_max} p^-a for a > 1, from the primes up to p_max,
+    as sum_k mu(k)/k L(k a) with L(b) = log zeta(b) + sum_{p <= p_max}
+    log1p(-p^-b): Moebius inversion of log zeta (Froberg, BIT 8, 1968).
+    Terms with p_max^(1 - k a) < _TERM_CUT are dropped."""
+    terms = []
+    for k in range(1, int((1.0 - math.log(_TERM_CUT) / math.log(p_max)) / a) + 1):
+        exps = [e for _, e in factorize(k)]
+        if max(exps, default=1) == 1:  # mu(k) = (-1)^len(exps), else 0
+            partial = float(np.sum(np.log1p(-np.power(primes, -k * a, dtype=float))))
+            terms.append((-1) ** len(exps) / k * (math.log(zeta_real(k * a)) + partial))
+    return math.fsum(terms)
+
+
+def _euler_tail(params: SpectralParams, primes: np.ndarray, p_max: int) -> float:
+    """sum_{p > p_max} G(p), expanded as G(p) = (1/rho) sum_{m >= 0}
+    ([m >= 1] p^-(tau + m rho) - p^-(tau + m rho + 1)).  Coefficients are
+    merged per exponent first, so at rho = 1 all cancel and no prime zeta
+    value is evaluated; exponents a with p_max^(1 - a) < _TERM_CUT are dropped."""
+    rho, tau = params.rho, params.tau
+    a_max = 1.0 - math.log(_TERM_CUT) / math.log(p_max)
+    coeffs = Counter()
+    for m in range(int((a_max - tau) / rho) + 1):
+        coeffs[m * rho] += m > 0
+        coeffs[m * rho + 1.0] -= 1
+    return math.fsum(
+        c * _prime_zeta_tail(tau + x, primes, p_max)
+        for x, c in coeffs.items()
+        if c and tau + x <= a_max
+    ) / rho
+
+
 @dataclass(frozen=True)
 class KappaComputation:
     """kappa with its provenance: evaluation point, per-prime factors, tail."""
@@ -70,25 +103,22 @@ class KappaComputation:
     p_max: int
     g_factors: np.ndarray
     kappa: float
-    uncertainty: float
-    tail_exponent: float
-    extrapolated: bool
+    tail: float
 
 
 def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> KappaComputation:
-    """kappa = (prod_{p <= p_max} g_p(1/rho))^(-rho) over the table's primes,
-    with a tail estimate.
+    """kappa = g(1/rho)^(-rho) from the Euler factors of the table's primes
+    and a closed-form tail for the primes above p_max.
 
-    The uncertainty bounds |g_p - 1| by C p^(-theta) with the
-    conservative exponent theta = min(tau + rho, 2, 1 + tau/2) (reported
-    as tail_exponent); C is fitted on the top decade of computed primes
-    with a 10x safety factor and is NOT rigorous (the asymptotic constants
-    are unknown).  For slowly decaying tails (rho < 1) and more than 16
-    primes, a two-point geometric extrapolation in the cutoff refines the
-    central value, and `extrapolated` says whether it ran.  The step uses
-    the measured decay g_p - 1 ~ p^(-(tau + rho)) / rho, not theta; the
-    uncertainty keeps theta, the only exponent that also covers the floor
-    bias at rho > 1.
+    Beyond p_max, log g_p(1/rho) is replaced by
+    G(p) = (1/rho) p^-tau [p^-rho (1 - 1/p) / (1 - p^-rho) - 1/p], the
+    order-p^-tau term of second-order perturbation of
+    E_p = diag(p^(-rho j)) + F: only F_{j,j+-1}^2 = p^(-rho(2j+-1) - tau)
+    enter, so lambda_0 ~ 1 + y q/(1 - q) and lambda_j ~ q^j (1 - y) for
+    j >= 1, with q = p^-rho and y = p^-tau.  G = 0 at rho = 1 (the trace
+    identity), G = 2 p^-(1 + 2 sigma) at rho = 1/2 (the leading term of the
+    closed g_p(2)), and log g_p - G(p) = O(p^-min(2 tau + 2 rho, 1 + 2 tau)).
+    tail, the sum of G over p > p_max, is exact through the prime zeta function.
 
     The table must have been built for params.
     """
@@ -96,7 +126,6 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     s = 1.0 / params.rho
     if table.params != params:
         raise ValueError(f"table was built for {table.params}, not {params}")
-    p_max = table.p_max
     primes = table.primes
 
     base = primes.astype(float) ** (-params.rho * s)
@@ -105,36 +134,9 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     if np.any(g <= 0.0):
         raise InvalidRegime("non-positive Euler factor; spectra unavailable")
 
-    logs = np.log(g)
-    log_g = math.fsum(logs)
-
-    theta = min(params.tau + params.rho, 2.0, 1.0 + params.tau / 2.0)
-    # never empty: Bertrand's postulate puts a prime in (m, 2m] for m >= 1
-    window = primes >= max(2, p_max // 10)
-    c_fit = _TAIL_SAFETY * float(
-        np.max(np.abs(g[window] - 1.0) * primes[window].astype(float) ** theta)
-    )
-    tail = c_fit * p_max ** (1.0 - theta) / (theta - 1.0)
-
-    correction = 0.0
-    extrapolated = params.rho < 1.0 and len(primes) > 16
-    if extrapolated:
-        half_mask = primes <= p_max // 2
-        delta = log_g - math.fsum(logs[half_mask])
-        correction = delta / (2.0 ** (params.tau + params.rho - 1.0) - 1.0)
-
-    kappa = math.exp(-params.rho * (log_g + correction))
-    uncertainty = kappa * params.rho * tail
-    return KappaComputation(
-        params=params,
-        s=s,
-        p_max=p_max,
-        g_factors=g,
-        kappa=kappa,
-        uncertainty=uncertainty,
-        tail_exponent=theta,
-        extrapolated=extrapolated,
-    )
+    tail = _euler_tail(params, primes, table.p_max)
+    kappa = math.exp(-params.rho * (math.fsum(np.log(g)) + tail))
+    return KappaComputation(params, s, table.p_max, g, kappa, tail)
 
 
 def kappa_closed_form(params: SpectralParams) -> float:

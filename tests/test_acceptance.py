@@ -53,7 +53,7 @@ class TestCriterion1KappaRhoOne:
         assert report(
             "criterion-1 kappa(0.25,1.5) in [0.9999, 1.0001] at P=10^6",
             ok,
-            f"kappa={comp.kappa:.10f}, uncertainty={comp.uncertainty:.2e}, {elapsed:.0f}s",
+            f"kappa={comp.kappa:.10f}, tail={comp.tail:.2e}, {elapsed:.0f}s",
         )
 
 
@@ -68,7 +68,7 @@ class TestCriterion2KappaRhoHalf:
         assert report(
             "criterion-2 kappa(0.25,1.0) within 1e-3 of sqrt(zeta(3))/zeta(1.5)",
             ok,
-            f"kappa={comp.kappa:.7f}, target={target:.7f}, "
+            f"kappa={comp.kappa:.7f}, target={target:.7f}, tail={comp.tail:.2e}, "
             f"|diff|={abs(comp.kappa - target):.2e}, {elapsed:.0f}s",
         )
 

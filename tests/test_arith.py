@@ -217,6 +217,7 @@ class TestZeta:
             with pytest.raises(InvalidRegime):
                 zeta_real(s)
 
-    @pytest.mark.parametrize("s", [1.5, 2.0, 5.0, 10.0, 40.0])
+    # the kappa tail calls zeta_real up to 1 + 16 ln 10 / ln 2 = 54.2 (p_max = 2)
+    @pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 5.0, 10.0, 40.0, 45.0, 54.0, 55.0])
     def test_matches_mpmath(self, s):
         assert abs(zeta_real(s) - float(mpmath.zeta(s))) < 1e-12

@@ -68,7 +68,8 @@ class TestKappa:
         payload = json.loads(path.read_text())
         assert payload["closed_form"] == 1.0
         assert abs(payload["kappa"] - 1.0) < 1e-6
-        assert payload["uncertainty"] >= 0.0
+        assert payload["tail"] == 0.0
+        assert set(payload) == {"kappa", "closed_form", "p_max", "s", "tail", "_comment"}
         assert payload["_comment"].startswith("lcm-spectra")
 
     def test_no_closed_form_is_null(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,9 +13,11 @@ from lcmspectra import (
     g_p_at,
     kappa_closed_form,
     kappa_numeric,
+    primes_up_to,
     s_threshold,
     zeta_real,
 )
+from lcmspectra import kappa as kappa_mod
 
 
 def _local_from_row(table, i):
@@ -22,6 +25,12 @@ def _local_from_row(table, i):
     ratios = table.kept_ratios[table.offsets[i] : table.offsets[i + 1]]
     eig = np.concatenate([[1.0], ratios]) * table.lambda0[i]
     return LocalSpectrum(int(table.trunc_orders[i]), eig)
+
+
+def _tail_term(p, pars):
+    """G(p) = (1/rho) p^-tau [p^-rho (1 - 1/p) / (1 - p^-rho) - 1/p], written out."""
+    q = p ** -pars.rho
+    return p ** -pars.tau * (q * (1.0 - 1.0 / p) / (1.0 - q) - 1.0 / p) / pars.rho
 
 
 class TestClosedForm:
@@ -71,20 +80,26 @@ class TestEulerFactor:
         with pytest.raises(InvalidRegime):
             g_p_at(2, pars, 0.99)
 
-    def test_decay_fit_extends(self):
-        # |g_p - 1| <= C p^(-theta), C fitted on p <= 100, checked to 10^4
-        pars = SpectralParams(0.25, 1.0)
-        table = build_table(pars, 10_000)
-        theta = min(pars.tau + pars.rho, 2.0, 1.0 + pars.tau / 2.0)
+    @pytest.mark.parametrize(
+        "sigma, tau, bound",
+        # measured per decade: 0.21/0.22/0.22, 0.38/0.43/0.48 and 11/6.5/4.6;
+        # points whose residual reaches rounding (about 1e-15) are left out
+        [(0.0, 0.75, 0.3), (0.0, 0.6, 0.6), (0.4, 1.0, 15.0)],
+    )
+    def test_tail_residual_decay(self, sigma, tau, bound):
+        # |log g_p - G(p)| <= C p^-min(2 tau + 2 rho, 1 + 2 tau) on each decade
+        pars = SpectralParams(sigma, tau)
+        table = build_table(pars, 100_000, target_floor=1e-30)
         g = np.array(
             [
-                g_p_at(float(p), pars, 2.0, _local_from_row(table, i))
+                g_p_at(float(p), pars, 1.0 / pars.rho, _local_from_row(table, i))
                 for i, p in enumerate(table.primes)
             ]
         )
-        quant = np.abs(g - 1.0) * table.primes.astype(float) ** theta
-        small = table.primes <= 100
-        assert np.all(quant[~small] <= quant[small].max())
+        p = table.primes.astype(float)
+        scaled = np.abs(np.log(g) - _tail_term(p, pars)) * p ** min(2 * tau + 2 * pars.rho, 1 + 2 * tau)
+        for lo in (100, 1_000, 10_000):
+            assert scaled[(p > lo) & (p <= 10 * lo)].max() <= bound
 
 
 def kappa_at(params, p_max):
@@ -95,8 +110,6 @@ class TestKappaNumeric:
     def test_rho_one_case(self):
         comp = kappa_at(SpectralParams(0.25, 1.5), 10_000)
         assert comp.kappa == pytest.approx(1.0, abs=1e-6)
-        assert comp.uncertainty >= 0.0
-        assert not comp.extrapolated
 
     def test_rho_one_at_sigma_zero(self):
         comp = kappa_at(SpectralParams(0.0, 1.0), 10_000)
@@ -106,48 +119,63 @@ class TestKappaNumeric:
         pars = SpectralParams(0.25, 1.0)
         comp = kappa_at(pars, 20_000)
         closed = kappa_closed_form(pars)
-        assert comp.extrapolated
         assert abs(comp.kappa - closed) < 2e-3
-        assert abs(comp.kappa - closed) < comp.uncertainty
 
-    def test_too_few_primes_to_extrapolate(self):
-        # 15 primes up to 50: the correction needs more than 16, so none is
-        # applied and kappa is the plain truncated product
-        pars = SpectralParams(0.25, 1.0)
-        table = build_table(pars, 50)
-        comp = kappa_numeric(pars, table=table)
-        assert len(table) == 15
-        assert not comp.extrapolated
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.25])
+    def test_rho_half_closed_form_from_small_table(self, sigma):
+        # at rho = 1/2 the tail is 2 p^-(1 + 2 sigma), the leading term of
+        # the closed form; measured within 9.4e-12, 5.5e-13 and 1.2e-15
+        pars = SpectralParams(sigma, 0.5 + 2.0 * sigma)
+        comp = kappa_at(pars, 10_000)
+        assert comp.kappa == pytest.approx(kappa_closed_form(pars), rel=1e-9)
+
+    def test_rho_one_tail_is_zero_without_zeta(self, monkeypatch):
+        # every coefficient of the tail cancels (the trace identity), so no
+        # prime zeta value is evaluated and kappa is the truncated product
+        def no_zeta(s):
+            raise AssertionError("zeta_real called at rho = 1")
+
+        monkeypatch.setattr(kappa_mod, "zeta_real", no_zeta)
+        pars = SpectralParams(0.25, 1.5)
+        comp = kappa_at(pars, 10_000)
+        assert comp.tail == 0.0
         assert comp.kappa == math.exp(-pars.rho * math.fsum(np.log(comp.g_factors)))
-
-    def test_extrapolation_step_uses_decay_exponent(self):
-        # the step divides by 2^(tau + rho - 1) - 1; the fitted bound keeps
-        # theta = min(tau + rho, 2, 1 + tau/2) = 1.5 < tau + rho = 1.8
-        pars = SpectralParams(0.1, 1.0)
-        table = build_table(pars, 2_000)
-        comp = kappa_numeric(pars, table=table)
-        logs = np.log(comp.g_factors)
-        log_g = math.fsum(logs)
-        delta = log_g - math.fsum(logs[table.primes <= 1_000])
-        step = delta / (2.0 ** (pars.tau + pars.rho - 1.0) - 1.0)
-        assert comp.extrapolated and comp.tail_exponent == 1.5
-        assert comp.kappa == math.exp(-pars.rho * (log_g + step))
 
     @pytest.mark.parametrize(
         "sigma, tau, bound",
-        # extrapolating with theta instead drifted 8.7e-6 and 5.7e-5
-        [(0.25, 1.25, 2e-6), (0.1, 1.0, 2e-5)],
+        # measured 1.1e-12, 6.3e-11, 1.1e-8, 1.5e-7 and 3.0e-6
+        [
+            (0.25, 1.25, 1e-10),
+            (0.1, 1.0, 1e-9),
+            (0.0, 0.75, 1e-7),
+            (0.4, 1.0, 1e-6),
+            (0.45, 1.0, 2e-5),
+        ],
     )
-    def test_extrapolation_stable_in_p_max(self, sigma, tau, bound):
+    def test_stable_in_p_max(self, sigma, tau, bound):
         pars = SpectralParams(sigma, tau)
         k4, k5 = (kappa_at(pars, p_max).kappa for p_max in (10_000, 100_000))
         assert abs(k5 - k4) < bound * k5
 
-    def test_doubling_within_uncertainty(self):
-        pars = SpectralParams(0.25, 1.0)
-        c1 = kappa_at(pars, 5_000)
-        c2 = kappa_at(pars, 10_000)
-        assert abs(c2.kappa - c1.kappa) < c1.uncertainty
+    @pytest.mark.parametrize("sigma, tau", [(0.25, 1.25), (0.0, 0.75), (0.4, 1.0)])
+    def test_tail_is_sum_of_terms(self, sigma, tau):
+        # moving p_max from 10^3 to 10^4 moves the tail by the terms between
+        pars = SpectralParams(sigma, tau)
+        lo, hi = (
+            kappa_mod._euler_tail(pars, primes_up_to(p_max), p_max)
+            for p_max in (1_000, 10_000)
+        )
+        primes = primes_up_to(10_000).astype(float)
+        between = primes[primes > 1_000]
+        # about 50 prime zeta values enter at (0.4, 1): 7e-16 of rounding
+        assert lo - hi == pytest.approx(math.fsum(_tail_term(between, pars)), abs=3e-15)
+
+    @pytest.mark.parametrize("a", [1.05, 1.25, 1.5, 2.0, 3.0])
+    def test_prime_zeta_tail_vs_mpmath(self, a):
+        primes = primes_up_to(10_000)
+        with mpmath.workdps(30):
+            exact = float(mpmath.primezeta(a) - mpmath.fsum(mpmath.mpf(int(p)) ** -a for p in primes))
+        assert abs(kappa_mod._prime_zeta_tail(a, primes, 10_000) - exact) < 3e-16
 
     def test_all_factors_positive(self):
         comp = kappa_at(SpectralParams(0.25, 1.5), 2_000)
