@@ -60,6 +60,7 @@ from .spectrum import (
     CountingResult,
     GlobalEigenvalue,
     GlobalSpectrumTable,
+    RankedSpectrum,
     SpectralEnvelope,
     build_table,
     counting_mu,

@@ -137,10 +137,10 @@ def cmd_spectrum(args) -> None:
     p_max = max(args.nmax, 10_000) if args.pmax is None else args.pmax
     table = _table(args, p_max)
     rho = table.params.rho
-    rows = [
-        [rank + 1, ev.n, ev.value, ev.n**rho * ev.value]
-        for rank, ev in enumerate(enumerate_spectrum(table, args.nmax))
-    ]
+    ranked = enumerate_spectrum(table, args.nmax)
+    pairs = zip(ranked.n.tolist(), ranked.values.tolist())
+    # Python scalars, so n**rho * lambda rounds exactly as it always has
+    rows = [[rank, n, value, n**rho * value] for rank, (n, value) in enumerate(pairs, 1)]
     _emit(args, ["rank", "n", "lambda", "n_rho_lambda"], rows)
 
 

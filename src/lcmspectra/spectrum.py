@@ -4,7 +4,9 @@ Eigenvalues of the infinite matrix factor over primes: lambda_n is the
 product over p | n of the k_p-th local eigenvalue times the base product
 Lambda_0 = prod_p lambda_0(E_p).  This module builds the per-prime table,
 one flat row per prime, from the same solve and floor cut as
-local.local_spectrum.  It enumerates and sorts eigenvalues, evaluates the
+local.local_spectrum.  It enumerates and sorts eigenvalues into a
+RankedSpectrum, a read-only view over two arrays that builds a
+GlobalEigenvalue only for the entries a caller reads; it evaluates the
 counting function mu(t) = #{n : lambda_n > 1/t} behind a certified
 cutoff, and cross-checks against dense finite sections.
 """
@@ -14,10 +16,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 import os
 import struct
 import tempfile
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,7 @@ from .local import (
 
 __all__ = [
     "GlobalEigenvalue",
+    "RankedSpectrum",
     "GlobalSpectrumTable",
     "CountingResult",
     "SpectralEnvelope",
@@ -71,6 +76,36 @@ class GlobalEigenvalue:
 
     n: int
     value: float
+
+
+class RankedSpectrum(Sequence):
+    """lambda_n in rank order, as two read-only arrays.
+
+    n holds the indices (int64) and values the eigenvalues (float64), by
+    value descending, ties by ascending n.  Reading an entry builds its
+    GlobalEigenvalue, with a Python int and float; a slice gives a list of
+    them.
+    """
+
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: np.ndarray, values: np.ndarray):
+        n.setflags(write=False)
+        values.setflags(write=False)
+        self.n = n
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(GlobalEigenvalue, self.n[i].tolist(), self.values[i].tolist()))
+        i = operator.index(i)
+        return GlobalEigenvalue(int(self.n[i]), float(self.values[i]))
+
+    def __iter__(self):
+        return map(GlobalEigenvalue, self.n.tolist(), self.values.tolist())
 
 
 @dataclass(frozen=True)
@@ -258,6 +293,15 @@ def build_table(
     return table
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int, through operator.index, so NumPy integers
+    pass and a float raises TypeError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     """lambda_n via the product formula: Lambda_0 times per-prime ratios.
 
@@ -266,14 +310,16 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     table.row_of.  The ratios are multiplied in ascending-prime order, as
     in the lambda sieve, and the smallest prime without a usable ratio
     raises.  The table's arrays are read through memoryviews that the
-    table keeps (Python scalars, no copy).
+    table keeps (Python scalars, no copy).  n must be an integer (a float
+    raises TypeError).
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
     primes, offsets, lengths, ratios, row_of = table._views
     p_max = table.p_max
     value = table.base_product
-    m = int(n)
+    m = n
     i = 0  # trial division has removed every prime below primes[i]
     while m > 1:
         if m <= p_max:
@@ -295,7 +341,7 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
         if k > lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
         value *= ratios[offsets[i] + k - 1]
-    return GlobalEigenvalue(int(n), value)
+    return GlobalEigenvalue(n, value)
 
 
 def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
@@ -334,19 +380,22 @@ def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
     return vals
 
 
-def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> list[GlobalEigenvalue]:
+def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> RankedSpectrum:
     """lambda_n for n = 1..n_max, sorted by value descending, ties by n.
 
-    Needs p_max >= n_max so that every index factors inside the table.
-    The values come from the lambda sieve, which factors no index one by
-    one.
+    Needs p_max >= n_max so that every index factors inside the table, and
+    an integer n_max (a float raises TypeError).  The values come from the
+    lambda sieve, which factors no index one by one.  The result holds the
+    ranked indices and values as arrays and builds a GlobalEigenvalue only
+    when an entry is read.
     """
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     vals = _lambda_values(table, n_max)[1:]
     # a stable sort keeps ties in ascending n
     order = np.argsort(-vals, kind="stable")
-    return list(map(GlobalEigenvalue, (order + 1).tolist(), vals[order].tolist()))
+    return RankedSpectrum((order + 1).astype(np.int64, copy=False), vals[order])
 
 
 def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:

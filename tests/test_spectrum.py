@@ -14,6 +14,7 @@ from lcmspectra import (
     CertificateUnavailable,
     EnumerationInfeasible,
     FloorTooHigh,
+    GlobalEigenvalue,
     InvalidRegime,
     PrimeOutOfRange,
     SpectralParams,
@@ -27,6 +28,7 @@ from lcmspectra import (
     load_table,
     save_table,
 )
+from lcmspectra import spectrum
 from lcmspectra.kappa import g_p_at, kappa_numeric
 from lcmspectra.local import LocalSpectrum, hs_bound_squared, local_spectrum
 from lcmspectra.spectrum import (
@@ -178,6 +180,17 @@ class TestLambdaOf:
         with pytest.raises(FloorTooHigh):
             lambda_of(2**60, table_small)
 
+    @pytest.mark.parametrize("n", [6, np.int64(6), np.int32(6), np.uint16(6)])
+    def test_accepts_python_and_numpy_integers(self, n, table_small):
+        got = lambda_of(n, table_small)
+        assert got == lambda_of(6, table_small)
+        assert type(got.n) is int
+
+    @pytest.mark.parametrize("n", [6.5, 6.0, np.float64(6.0)])
+    def test_rejects_float_index(self, n, table_small):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            lambda_of(n, table_small)
+
 
 class TestEnumerate:
     def test_first_entry_is_n1(self, table_small):
@@ -225,6 +238,60 @@ class TestEnumerate:
             evs[0].value = 0.0
         assert len(set(evs)) == 50
         assert hash(evs[3]) == hash(dataclasses.replace(evs[3]))
+
+    def test_view_length_and_items(self, table_small):
+        evs = enumerate_spectrum(table_small, 300)
+        listed = list(evs)
+        assert len(evs) == 300
+        for i in (0, 7, -1):
+            assert evs[i] == listed[i]
+            assert type(evs[i].n) is int and type(evs[i].value) is float
+        with pytest.raises(IndexError):
+            evs[300]
+        with pytest.raises(IndexError):
+            evs[-301]
+
+    @pytest.mark.parametrize(
+        "a, b, step", [(0, 5, None), (10, 40, 2), (5, 5, None), (-3, None, None)]
+    )
+    def test_view_slices_are_lists(self, a, b, step, table_small):
+        evs = enumerate_spectrum(table_small, 300)
+        got = evs[a:b:step]
+        assert type(got) is list
+        assert got == list(evs)[a:b:step]
+
+    def test_view_arrays_read_only(self, table_small):
+        evs = enumerate_spectrum(table_small, 50)
+        assert evs.n.dtype == np.int64 and evs.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            evs.n[0] = 2
+        with pytest.raises(ValueError):
+            evs.values[0] = 0.0
+
+    def test_builds_records_only_when_read(self, table_counting, monkeypatch):
+        built = []
+
+        def counting(n, value):
+            built.append(n)
+            return GlobalEigenvalue(n, value)
+
+        monkeypatch.setattr(spectrum, "GlobalEigenvalue", counting)
+        evs = enumerate_spectrum(table_counting, 10_000)
+        assert built == []
+        top = evs[:5]
+        assert len(built) == 5 and [e.n for e in top] == built
+        evs[-1]
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("n_max", [300, np.int64(300), np.int32(300)])
+    def test_accepts_python_and_numpy_integers(self, n_max, table_small):
+        evs = enumerate_spectrum(table_small, n_max)
+        assert list(evs) == list(enumerate_spectrum(table_small, 300))
+
+    @pytest.mark.parametrize("n_max", [10.0, 10.5, np.float64(10.0)])
+    def test_rejects_float_n_max(self, n_max, table_small):
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            enumerate_spectrum(table_small, n_max)
 
 
 class TestCounting:
