@@ -3,15 +3,16 @@
 The block at base p has entries p^(sigma (j+k) - tau max(j,k)) for
 j, k >= 0.  The base may be any real p > 1; integer primality plays no
 role in the linear algebra, and prime-indexed callers simply restrict to
-primes.  One private routine solves a batch of blocks, cuts each row at
-the floor and checks its top eigenvalue; local_spectrum runs it for one
-base and spectrum.build_table for every group of primes that shares a
-truncation order.  The solve is zero-shift dqd with its sweeps run as a
-wavefront: every sweep in flight advances by one position per numpy
-step, so a group of K x K blocks costs about K + 2S Python steps for S
-sweeps rather than K S, at the price of finishing the (K - 1) // 2
-sweeps in flight when the stopping test passes.  All returned values
-are immutable and safe to share.
+primes.  One private routine solves a batch of blocks, each at its own
+order, cuts each row at the floor and checks its top eigenvalue;
+local_spectrum runs it for one base and spectrum.build_table for each
+wave of consecutive primes.  The solve is zero-shift dqd with its sweeps
+run as a wavefront: every sweep in flight advances by one position per
+numpy step, so a batch whose largest order is K costs about K + 2S numpy
+steps for S sweeps rather than K S, at the price of finishing the
+(K - 1) // 2 sweeps in flight when the stopping test passes.  A base's
+eigenvalues come out the same to the bit whatever batch it is solved
+in.  All returned values are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -122,16 +123,17 @@ def _check_blocks(p: np.ndarray, params: SpectralParams) -> None:
 
 
 def _sweep_cap(params: SpectralParams, logp: np.ndarray, K: int) -> int:
-    """Most dqd sweeps one group may take before the solve gives up.
+    """Most dqd sweeps one batch may take before the solve gives up.
 
     Each sweep shrinks the off-diagonal by about p^(-rho), so the sweeps
     stay below K + log(tol) / log(p^(-rho)) (about K at the truncation
-    order); allow twice that.
+    order); allow twice that, at the batch's largest order K and its
+    smallest base.
     """
     return 2 * (K + math.ceil(math.log(_DQD_TOL) / (-params.rho * float(logp.min()))))
 
 
-def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
+def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     """Eigenvalues of the K x K blocks at the bases p, descending per block.
 
     The corner identity writes the block as E_K = B^T B with
@@ -145,39 +147,62 @@ def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
     values), whose diagonal already falls, so the sweeps polish the order
     rather than build it.
 
+    K is one order for every base or an array of per-base orders,
+    broadcast to p's shape.  Each base's factor is built at its own order
+    and padded up to the largest, K_top, with q = 1 and e = 0.  The
+    padding leaves the real positions alone: with e = 0 at the junction,
+    the last real position computes d + 0, as at the zero row that ends
+    an unpadded factor, and a pad never raises a flag.  The padded
+    eigenvalues come back as 0, after the real ones.
+
     The sweeps run as a wavefront: sweep s takes its step at position i
     at time 2s + i, and reads only what sweep s - 1 wrote at positions i
     and i + 1.  So at each time step the sweeps in flight sit at
     positions of one parity and advance together as one strided
-    operation on position-major (K + 1, n) arrays, each sweep doing the
-    floating-point operations of a sequential sweep in the same order.
-    The running d and the sweep's convergence flag move along with it.
-    The solve stops launching sweeps once one completes with every
-    e_i <= tol q_(i+1); the (K - 1) // 2 sweeps already in flight (fewer
-    at the sweep cap) then run to completion.
+    operation on position-major (K_top + 1, n) arrays, each sweep doing
+    the floating-point operations of a sequential sweep in the same
+    order.  The running d and the sweep's convergence flag move along
+    with it.  The solve stops launching sweeps once one completes with
+    every e_i <= tol q_(i+1); the (K_top - 1) // 2 sweeps already in
+    flight (fewer at the sweep cap) then run to completion.  By then a
+    base's q have settled: further sweeps leave them unchanged to the bit.
+    So a base's eigenvalues do not depend on how many sweeps its batch
+    runs, nor on the other bases and orders in it.  That is measured, not
+    proven, and it needs a sweep in flight: it held on every row tried
+    at K >= 3 (truncation orders are never below 3), while at K = 2 the
+    last bit of an eigenvalue can still move.
 
-    Vectorises over p: an array of bases gives shape p.shape + (K,).
-    Raises ValueError for a base that is not a finite p > 1 and
-    InvalidRegime unless rho is finite and positive and tau > 0.
+    Vectorises over p: an array of bases gives shape p.shape + (K_top,).
+    Raises ValueError for a base that is not a finite p > 1 or an order
+    below 1, and InvalidRegime unless rho is finite and positive and
+    tau > 0.
     """
     p = np.asarray(p, dtype=float)
     _check_blocks(p, params)
-    if K < 1:
+    orders = np.broadcast_to(np.asarray(K, dtype=np.int64), p.shape).ravel()
+    if (orders < 1).any():
         raise ValueError("K must be >= 1")
     logp = np.log(p).ravel()
+    K = int(orders.max())
     one_minus_x = -np.expm1(-params.tau * logp)
     # row i of the position-major arrays is position i of the reversed
     # factor: squared diagonal q_i, and the squared off-diagonal before it
-    # as e_i (e_0 = 0); row K is a zero pad read by the last step.  They
-    # are filled in place, since with d they are a table build's peak.
-    jr = np.arange(K - 1, -1, -1, dtype=float)[:, None]
+    # as e_i (e_0 = 0); rows from a base's order on are its padding, and
+    # row K is a zero pad read by the last step.  They are filled in
+    # place, since with d they are a table build's peak.
+    jr = orders - 1 - np.arange(K)[:, None]
+    pad = jr < 0
     q = np.zeros((K + 1, logp.size))
     e = np.zeros_like(q)
     with np.errstate(over="ignore"):
-        for rows, expo in ((q[:K], params.rho * jr), (e[1:K], params.rho * jr[:-1] - params.tau)):
-            np.exp(np.multiply(expo, logp, out=rows), out=rows)
+        for rows, j, shift in ((q[:K], jr, 0.0), (e[1:K], jr[:-1], params.tau)):
+            np.multiply(j, params.rho, out=rows)
+            rows -= shift
+            np.exp(np.multiply(rows, logp, out=rows), out=rows)
             rows /= one_minus_x
-        q[0] = np.exp(params.rho * (K - 1) * logp)
+        q[0] = np.exp(params.rho * (orders - 1) * logp)
+    np.copyto(q[:K], 1.0, where=pad)
+    np.copyto(e[1:K], 0.0, where=pad[1:])
     if not np.all(np.isfinite(q)):
         raise OverflowError(
             f"p^(rho (K-1)) overflows double precision at K={K}, rho={params.rho}"
@@ -200,31 +225,38 @@ def block_eigenvalues(p, params: SpectralParams, K: int) -> np.ndarray:
         qi = np.add(d[here], e[ahead], out=q[here])
         # t = q_(i+1) / q_i goes where the sweep's next d is due
         t = np.divide(q[ahead], qi, out=d[ahead])
-        e[ahead] *= t
+        e_ahead = e[ahead]
+        np.multiply(e_ahead, t, out=e_ahead)
         t *= d[here]
-        flag[ahead] = flag[here] | np.any(e[here] > _DQD_TOL * qi, axis=1)
+        if not converged:
+            # once the stopping test has passed the flags decide nothing
+            flag[ahead] = flag[here] | (e[here] > _DQD_TOL * qi).any(axis=1)
         if hi == K - 1:
             converged = converged or not flag[K]
             done += 1
         t_now += 1
     if not converged:
         raise EigensolverError(
-            f"dqd failed to converge within {max_sweeps} sweeps at K={K}"
+            f"dqd failed to converge within {max_sweeps} sweeps at K={K}, smallest base "
+            f"p={float(p.min()):.17g}, {logp.size} bases in the batch"
         )
     del d, e  # freed before the sort copies q
     lam = np.divide(1.0, q[:K], out=q[:K])
+    np.copyto(lam, 0.0, where=pad)
     # the stopping test bounds the off-diagonal, not the order of the
     # diagonal, so sort rather than reverse
     return np.sort(lam.T, axis=1)[:, ::-1].reshape(p.shape + (K,))
 
 
-def _solve_rows(bases: np.ndarray, params: SpectralParams, K: int, floor: float):
-    """Eigenvalues of the K x K blocks at a 1-D array of bases, one
-    descending row per base, and the mask of those above floor.
+def _solve_rows(bases: np.ndarray, params: SpectralParams, K, floor: float):
+    """Eigenvalues of the blocks at a 1-D array of bases, each of its order
+    in K (one int or one per base), one descending row per base, and the
+    mask of those above floor.
 
-    Rows descend, so the kept eigenvalues of a row are a prefix.  Raises
-    EigensolverError when a top eigenvalue is at or below the floor or
-    below 1, which the Rayleigh quotient at e_0 rules out.
+    Rows descend and a row's padding is 0, so the kept eigenvalues of a
+    row are a prefix.  Raises EigensolverError when a top eigenvalue is at
+    or below the floor or below 1, which the Rayleigh quotient at e_0
+    rules out.
     """
     eig = block_eigenvalues(bases, params, K)
     kept = eig > floor

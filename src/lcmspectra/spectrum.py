@@ -4,11 +4,14 @@ Eigenvalues of the infinite matrix factor over primes: lambda_n is the
 product over p | n of the k_p-th local eigenvalue times the base product
 Lambda_0 = prod_p lambda_0(E_p).  This module builds the per-prime table,
 one flat row per prime, from the same solve and floor cut as
-local.local_spectrum.  It enumerates and sorts eigenvalues into a
-RankedSpectrum, a read-only view over two arrays that builds a
-GlobalEigenvalue only for the entries a caller reads; it evaluates the
-counting function mu(t) = #{n : lambda_n > 1/t} behind a certified
-cutoff, and cross-checks against dense finite sections.
+local.local_spectrum, run over the ascending primes in bounded waves:
+contiguous slices of about _WAVE_ENTRY_SWEEPS / K^2 primes, each solved
+as one batch padded to its largest truncation order K.  It enumerates
+and sorts eigenvalues into a RankedSpectrum, a read-only view over two
+arrays that builds a GlobalEigenvalue only for the entries a caller
+reads; it evaluates the counting function mu(t) = #{n : lambda_n > 1/t}
+behind a certified cutoff, and cross-checks against dense finite
+sections.
 """
 
 from __future__ import annotations
@@ -68,6 +71,14 @@ DEFAULT_MAX_ENUMERATION = 2_000_000
 # is accurate to a few 1e-15 relative, and the mpmath oracle tests hold it
 # to a tenth of this margin
 _SOLVER_MARGIN = 1e-13
+
+# bound on a wave's entry-sweeps, bases x K_top^2 (entries times sweeps).
+# Median build_table times over 2^17, 2^18, 2^19, 2^20 on a 2-core x86
+# host (numpy 2.4): (1/4, 1) at p_max 10^6 0.111, 0.094, 0.088, 0.100 s;
+# (0, 1) at 10^7 0.427, 0.390, 0.386, 0.427 s; (1/4, 3/2) and (0, 1) at
+# 10^6 within noise up to 2^19; only rho = 0.1 at 10^5 prefers larger
+# waves (0.353 s at 2^19, 0.306 s at 2^20)
+_WAVE_ENTRY_SWEEPS = 2**19
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,17 +260,22 @@ def build_table(
 ) -> GlobalSpectrumTable:
     """Solve every prime-local block with p <= p_max.
 
-    Blocks share a truncation order K in long runs of consecutive primes,
-    so the dqd sweeps run batched per K group, through the same solve,
-    floor cut and top-eigenvalue check as local_spectrum.  cache_dir, when
-    given, persists the table in the binary format of save_table and
-    reuses it on rebuild; a cache file that is corrupt or answers another
-    request is rebuilt.
+    The ascending primes are cut into contiguous waves, each one batch of
+    the solve, floor cut and top-eigenvalue check of local_spectrum, with
+    every prime at its own truncation order.  A wave starting at the
+    prime of order K holds max(1, _WAVE_ENTRY_SWEEPS // K^2) primes, so
+    the short runs of large K at the small primes share one padded wave
+    and the long runs of small K split into cache-sized ones.  A prime's
+    eigenvalues do not depend on its wave, so every row is bit-identical
+    to its own local_spectrum.  p_max must be an integer (a float raises
+    TypeError).  cache_dir, when given, persists the table in the binary
+    format of save_table and reuses it on rebuild; a cache file that is
+    corrupt or answers another request is rebuilt.
     """
     params.require_regime()
     if not (0.0 < target_floor < 1.0):
         raise ValueError("target_floor must lie in (0, 1)")
-    p_max = int(p_max)
+    p_max = _integer(p_max, "p_max")
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     cache_path = None
@@ -274,16 +290,18 @@ def build_table(
 
     primes = primes_up_to(p_max)
     orders = truncation_order(primes, params, target_floor)
-    # one group per run of equal K (K falls with p), in ascending p
-    bounds = np.append(np.flatnonzero(np.diff(orders, prepend=0)), len(primes)).tolist()
     lambda0 = np.empty(len(primes))
     lengths = np.empty(len(primes), dtype=np.int64)
     parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        eig, kept = _solve_rows(primes[lo:hi], params, int(orders[lo]), target_floor)
+    lo = 0
+    while lo < len(primes):
+        # K falls with p, so orders[lo] is the wave's top order
+        hi = lo + max(1, _WAVE_ENTRY_SWEEPS // int(orders[lo]) ** 2)
+        eig, kept = _solve_rows(primes[lo:hi], params, orders[lo:hi], target_floor)
         lambda0[lo:hi] = eig[:, 0]
         lengths[lo:hi] = kept.sum(axis=1) - 1
         parts.append((eig[:, 1:] / eig[:, :1])[kept[:, 1:]])
+        lo = hi
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     table = GlobalSpectrumTable(
         params, p_max, target_floor, primes, lambda0, offsets, np.concatenate(parts)
@@ -470,7 +488,11 @@ def counting_mu(
 
 
 def entry_matrix(params: SpectralParams, N: int) -> np.ndarray:
-    """Dense top-left N x N block of the infinite matrix (log-space entries)."""
+    """Dense top-left N x N block of the infinite matrix (log-space entries).
+
+    N must be an integer (a float raises TypeError).
+    """
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     logn = np.log(np.arange(1, N + 1, dtype=float))
@@ -485,7 +507,8 @@ def finite_section_eigs(params: SpectralParams, N: int) -> np.ndarray:
 
     Cross-validation route against the product formula (min-max pushes
     every finite-section eigenvalue below its infinite counterpart).
-    Uses the platform symmetric eigensolver; sections are dense.
+    Uses the platform symmetric eigensolver; sections are dense.  N must
+    be an integer (a float raises TypeError).
     """
     if not params.bounded:
         raise InvalidRegime("finite sections are only meaningful in the bounded regime")

@@ -211,7 +211,29 @@ class TestBlockSolver:
             stack = block_eigenvalues(ps, P25, K)
             assert stack.shape == (2, 2, K)
             for p, eig in zip(ps.ravel(), stack.reshape(4, K)):
-                np.testing.assert_allclose(eig, block_eigenvalues(p, P25, K), rtol=1e-14, atol=0)
+                assert np.array_equal(eig, block_eigenvalues(p, P25, K))
+
+    @pytest.mark.parametrize(
+        "params, ps",
+        [(P25, [2.0, 3.0, 7.0, 1999.0]), (SpectralParams(0.45, 1.0), [2.0, 3.0, 5.0, 97.0]),
+         (SpectralParams(-0.3, 0.3), [2.0, 11.0, 101.0])],
+        ids=["rho1", "rho0.1", "rho0.9"],
+    )
+    def test_mixed_orders_match_scalar_solves(self, params, ps):
+        # per-base orders of at least 3, padded to the largest: each row is
+        # its own scalar-K solve to the bit, then zeros
+        ps = np.array(ps)
+        orders = truncation_order(ps, params, DEFAULT_FLOOR)
+        for K in (orders, orders[::-1], np.array([3, 9, 4, 6])[: ps.size]):
+            got = block_eigenvalues(ps, params, K)
+            assert got.shape == (ps.size, K.max())
+            for p, k, row in zip(ps, K, got):
+                assert np.array_equal(row[:k], block_eigenvalues(p, params, int(k)))
+                assert not row[k:].any()
+
+    def test_rejects_order_below_one(self):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            block_eigenvalues(np.array([2.0, 3.0]), P25, np.array([4, 0]))
 
     # the longest blocks of small-rho tables: rho = 0.1 at p = 2 and 3, rho = 0.2 at p = 2
     @pytest.mark.parametrize(
@@ -257,6 +279,9 @@ class TestBlockSolver:
             block_eigenvalues(3, P25, 34)
         with pytest.raises(EigensolverError, match="within 1 sweeps"):
             local_spectrum(3, P25)
+        # a batch names its smallest base and its size
+        with pytest.raises(EigensolverError, match="at K=34, smallest base p=3, 2 bases"):
+            block_eigenvalues(np.array([5.0, 3.0]), P25, np.array([20, 34]))
 
 
 class TestLocalSpectrum:

@@ -26,11 +26,19 @@ from lcmspectra import (
     finite_section_eigs,
     lambda_of,
     load_table,
+    primes_up_to,
     save_table,
 )
 from lcmspectra import spectrum
 from lcmspectra.kappa import g_p_at, kappa_numeric
-from lcmspectra.local import LocalSpectrum, hs_bound_squared, local_spectrum
+from lcmspectra.local import (
+    DEFAULT_FLOOR,
+    LocalSpectrum,
+    block_eigenvalues,
+    hs_bound_squared,
+    local_spectrum,
+    truncation_order,
+)
 from lcmspectra.spectrum import (
     _HEADER,
     _build_envelope,
@@ -375,6 +383,15 @@ class TestFiniteSections:
         with pytest.raises(InvalidRegime):
             finite_section_eigs(SpectralParams(1.0, 1.0), 8)
 
+    @pytest.mark.parametrize("N", [3.7, 3.0, np.float64(3.0)])
+    def test_rejects_float_size(self, N):
+        for section in (entry_matrix, finite_section_eigs):
+            with pytest.raises(TypeError, match="N must be an integer"):
+                section(P25, N)
+
+    def test_accepts_numpy_integer_size(self):
+        assert np.array_equal(finite_section_eigs(P25, np.int64(8)), finite_section_eigs(P25, 8))
+
     def test_dominated_by_product_formula(self, table_counting):
         prod_vals = np.array(
             [e.value for e in enumerate_spectrum(table_counting, 2000)]
@@ -404,6 +421,24 @@ class TestScalingLaw:
 def _row_ratios(table, i):
     """Kept lambda_k / lambda_0, k >= 1, of row i of a table (descending)."""
     return table.kept_ratios[table.offsets[i] : table.offsets[i + 1]]
+
+
+def _per_order_table(params, p_max, floor=DEFAULT_FLOOR):
+    """lambda0, offsets and kept ratios of build_table, solved one run of
+    equal truncation order at a time with a scalar K, through the same
+    floor cut."""
+    primes = primes_up_to(p_max)
+    orders = truncation_order(primes, params, floor)
+    lambda0, lengths, ratios = [], [], []
+    # K falls with p, so the runs come in descending K
+    for K in np.unique(orders)[::-1]:
+        eig = block_eigenvalues(primes[orders == K], params, int(K))
+        kept = eig > floor
+        lambda0.append(eig[:, 0])
+        lengths.append(kept.sum(axis=1) - 1)
+        ratios.append((eig[:, 1:] / eig[:, :1])[kept[:, 1:]])
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+    return np.concatenate(lambda0), offsets, np.concatenate(ratios)
 
 
 def _local_from_row(table, i):
@@ -485,11 +520,40 @@ class TestFlatTable:
 
     def test_rows_match_single_block_solve(self, table_small):
         for p in (2, 3, 97, 1999):
-            got = _local_from_row(table_small, int(np.searchsorted(table_small.primes, p)))
+            i = int(np.searchsorted(table_small.primes, p))
             ref = local_spectrum(p, P25)
-            assert got.truncation_order == ref.truncation_order
-            assert got.eigenvalues.size == ref.eigenvalues.size
-            np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-13, atol=0)
+            eig = ref.eigenvalues
+            assert table_small.trunc_orders[i] == ref.truncation_order
+            assert table_small.lambda0[i] == eig[0]
+            assert np.array_equal(_row_ratios(table_small, i), eig[1:] / eig[0])
+
+    @pytest.mark.parametrize(
+        "sigma, tau, p_max",
+        [(0.25, 1.0, 10**4), (0.25, 1.5, 10**4), (0.45, 1.0, 3000), (0.0, 0.6, 10**4),
+         (-0.3, 0.3, 10**4)],
+    )
+    @pytest.mark.parametrize("entry_sweeps", [None, 2**12], ids=["waves", "narrow-waves"])
+    def test_waves_match_per_order_solve(self, sigma, tau, p_max, entry_sweeps, monkeypatch):
+        # narrow waves split the long runs of equal K at these p_max too
+        if entry_sweeps:
+            monkeypatch.setattr(spectrum, "_WAVE_ENTRY_SWEEPS", entry_sweeps)
+        params = SpectralParams(sigma, tau)
+        table = build_table(params, p_max)
+        lambda0, offsets, ratios = _per_order_table(params, p_max)
+        assert np.array_equal(table.lambda0, lambda0)
+        assert np.array_equal(table.offsets, offsets)
+        assert np.array_equal(table.kept_ratios, ratios)
+
+    @pytest.mark.parametrize("p_max", [2000.9, 2000.0, np.float64(2000.0)])
+    def test_rejects_float_p_max(self, p_max):
+        with pytest.raises(TypeError, match="p_max must be an integer"):
+            build_table(P25, p_max)
+
+    @pytest.mark.parametrize("p_max", [np.int64(2000), np.int32(2000)])
+    def test_accepts_numpy_integer_p_max(self, p_max, table_small):
+        table = build_table(P25, p_max)
+        assert type(table.p_max) is int and table.p_max == 2000
+        assert table.kept_ratios.tobytes() == table_small.kept_ratios.tobytes()
 
     def test_rebuild_is_byte_identical(self):
         first, second = build_table(P25, 2000), build_table(P25, 2000)
