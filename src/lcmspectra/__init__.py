@@ -50,6 +50,7 @@ from .local import (
     build_local_matrix,
     corner_quadratic_form,
     hs_bound_squared,
+    local_spectra,
     local_spectrum,
     sandwich_envelope,
     top_eig_certificate,

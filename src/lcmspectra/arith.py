@@ -10,6 +10,7 @@ division, kept as the independent oracle of the sieve-based code.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +128,38 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int, through operator.index, so NumPy integers
+    pass and a float raises TypeError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def lcm_grid(M: int) -> np.ndarray:
-    """M x M integer array of [n, m] for 1 <= n, m <= M."""
-    n = np.arange(1, M + 1)
-    return (n[:, None] // np.gcd.outer(n, n)) * n[None, :]
+    """M x M int64 array of [n, m] for 1 <= n, m <= M, by a divisor sieve.
+
+    The grid starts as ones, and for d = 2..M the strided slice of rows
+    and columns divisible by d is set to d.  Every common divisor of n
+    and m writes at (n, m), in ascending order, so the last write there
+    is the largest one and the grid holds gcd(n, m).  Then [n, m] =
+    (n // gcd) * m, formed in place.  That is about 1.64 M^2 element
+    writes in M slice steps, with one M x M array and no temporary of
+    its size; it is several times faster than a gcd per element.  M must
+    be a non-negative integer (a float raises TypeError); M = 0 gives an
+    empty (0, 0) grid.
+    """
+    M = _integer(M, "M")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    g = np.ones((M, M), dtype=np.int64)
+    for d in range(2, M + 1):
+        g[d - 1 :: d, d - 1 :: d] = d
+    n = np.arange(1, M + 1, dtype=np.int64)
+    np.floor_divide(n[:, None], g, out=g)
+    g *= n
+    return g
 
 
 # length of the partial sum in zeta_real

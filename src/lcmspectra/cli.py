@@ -36,7 +36,13 @@ from .errors import (
     VerificationFailed,
 )
 from .kappa import kappa_closed_form, kappa_numeric
-from .local import DEFAULT_FLOOR, best_envelope, corner_quadratic_form, local_spectrum
+from .local import (
+    DEFAULT_FLOOR,
+    best_envelope,
+    corner_quadratic_form,
+    local_spectra,
+    local_spectrum,
+)
 from .spectrum import (
     DEFAULT_MAX_ENUMERATION,
     _lambda_values,
@@ -261,8 +267,8 @@ def _verify_checks(args):
 
     def check_trace():
         worst = 0.0
-        for p in (2, 3, 5, 7, 11):
-            spec = local_spectrum(p, SpectralParams(0.25, 1.5))
+        primes = (2, 3, 5, 7, 11)
+        for p, spec in zip(primes, local_spectra(primes, SpectralParams(0.25, 1.5))):
             total = (1.0 - 1.0 / p) * math.fsum(spec.eigenvalues)
             worst = max(worst, abs(total - 1.0))
         return worst, worst < 1e-10
@@ -271,8 +277,8 @@ def _verify_checks(args):
         worst = 0.0
         for sigma in (0.0, 0.25):
             pars = SpectralParams(sigma, 0.5 + 2.0 * sigma)
-            for p in (2, 3, 5):
-                spec = local_spectrum(p, pars)
+            primes = (2, 3, 5)
+            for p, spec in zip(primes, local_spectra(primes, pars)):
                 lhs = (1.0 - 1.0 / p) * math.fsum(spec.eigenvalues**2)
                 rhs = (1.0 - p ** (-(2.0 + 4.0 * sigma))) / (
                     1.0 - p ** (-(1.0 + 2.0 * sigma))
@@ -282,8 +288,8 @@ def _verify_checks(args):
 
     def check_envelope():
         ok = True
-        for p in (3, 5, 7, 11, 13):
-            spec = local_spectrum(p, params)
+        primes = (3, 5, 7, 11, 13)
+        for p, spec in zip(primes, local_spectra(primes, params)):
             env = best_envelope(p, params)
             k = np.arange(spec.eigenvalues.size)
             ok &= bool(np.all(spec.eigenvalues <= env.upper(k) + 1e-12))

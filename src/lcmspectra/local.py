@@ -5,7 +5,8 @@ j, k >= 0.  The base may be any real p > 1; integer primality plays no
 role in the linear algebra, and prime-indexed callers simply restrict to
 primes.  One private routine solves a batch of blocks, each at its own
 order, cuts each row at the floor and checks its top eigenvalue;
-local_spectrum runs it for one base and spectrum.build_table for each
+local_spectra runs it once for a list of bases, local_spectrum is
+local_spectra at one base, and spectrum.build_table runs it for each
 wave of consecutive primes.  The solve is zero-shift dqd with its sweeps
 run as a wavefront: every sweep in flight advances by one position per
 numpy step, so a batch whose largest order is K costs about K + 2S numpy
@@ -34,6 +35,7 @@ __all__ = [
     "truncation_tail_bound",
     "block_eigenvalues",
     "local_spectrum",
+    "local_spectra",
     "sandwich_envelope",
     "best_envelope",
     "corner_quadratic_form",
@@ -279,18 +281,32 @@ class LocalSpectrum:
     eigenvalues: np.ndarray
 
 
+def local_spectra(
+    bases, params: SpectralParams, target_floor: float = DEFAULT_FLOOR
+) -> list[LocalSpectrum]:
+    """The LocalSpectrum of the block at each base, in the order given.
+
+    One batch of the bidiagonal dqd solve, each base at its own
+    truncation order chosen from the floor, with eigenvalues at or below
+    the floor discarded as numerically untrustworthy, exactly as
+    build_table does for each row of its table.  A base's eigenvalues do
+    not depend on its batch, so each element is bit-identical to
+    local_spectrum at that base.  An empty sequence gives [].
+    """
+    bases = np.asarray(bases, dtype=float).ravel()
+    orders = truncation_order(bases, params, target_floor)
+    if bases.size == 0:
+        return []
+    eig, kept = _solve_rows(bases, params, orders, target_floor)
+    return [LocalSpectrum(int(K), row[keep]) for K, row, keep in zip(orders, eig, kept)]
+
+
 def local_spectrum(
     p: float, params: SpectralParams, target_floor: float = DEFAULT_FLOOR
 ) -> LocalSpectrum:
-    """Eigenvalues of the block at base p above target_floor, descending.
-
-    Chooses the truncation order from the floor, runs the bidiagonal dqd
-    solver, and discards eigenvalues at or below the floor as numerically
-    untrustworthy, exactly as build_table does for each row of its table.
-    """
-    K = truncation_order(p, params, target_floor)
-    eig, kept = _solve_rows(np.array([p], dtype=float), params, K, target_floor)
-    return LocalSpectrum(K, eig[0, kept[0]])
+    """Eigenvalues of the block at base p above target_floor, descending;
+    local_spectra at the one base p."""
+    return local_spectra([p], params, target_floor)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpectralParams, lcm_grid, primes_up_to
+from .arith import SpectralParams, _integer, lcm_grid, primes_up_to
 from .errors import (
     CertificateUnavailable,
     EnumerationInfeasible,
@@ -311,15 +311,6 @@ def build_table(
     return table
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int, through operator.index, so NumPy integers
-    pass and a float raises TypeError naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     """lambda_n via the product formula: Lambda_0 times per-prime ratios.
 
@@ -487,19 +478,35 @@ def counting_mu(
     return CountingResult(float(t), mu, n_cut, env.c_star, env.epsilon)
 
 
+def _entries(params: SpectralParams, ell: np.ndarray) -> np.ndarray:
+    """n^sigma m^sigma / ell^tau in log space, for the N x N LCM grid ell.
+
+    The entries are formed in place in one float array, with one more
+    N x N temporary for the index term, so the peak is three N x N arrays
+    counting the int grid the caller holds.  The bits are those of
+    exp(sigma (log n + log m) - tau log ell): (-tau) L is exactly
+    -(tau L), and adding it is exactly subtracting tau L.
+    """
+    logn = np.log(np.arange(1, len(ell) + 1, dtype=float))
+    out = ell.astype(float)
+    np.log(out, out=out)
+    out *= -params.tau
+    index = np.add.outer(logn, logn)
+    index *= params.sigma
+    out += index
+    return np.exp(out, out=out)
+
+
 def entry_matrix(params: SpectralParams, N: int) -> np.ndarray:
     """Dense top-left N x N block of the infinite matrix (log-space entries).
 
-    N must be an integer (a float raises TypeError).
+    Builds one LCM grid per call.  N must be an integer (a float raises
+    TypeError).
     """
     N = _integer(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
-    logn = np.log(np.arange(1, N + 1, dtype=float))
-    return np.exp(
-        params.sigma * (logn[:, None] + logn[None, :])
-        - params.tau * np.log(lcm_grid(N).astype(float))
-    )
+    return _entries(params, lcm_grid(N))
 
 
 def finite_section_eigs(params: SpectralParams, N: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import SpectralParams, lcm_grid
 from .errors import EigensolverError, InvalidRegime
-from .spectrum import entry_matrix
+from .spectrum import _entries
 
 __all__ = [
     "build_toeplitz",
@@ -142,6 +142,15 @@ def rescaled_singular_values(N: int, sigma: float, k: int = 1) -> np.ndarray:
     return rho * float(N) ** (-rho) * np.clip(w, 0.0, None)
 
 
+def _grid_and_factor(N: int, M: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The M x M LCM grid and the Hadamard factor G_N built from it."""
+    if N < 1 or M < 1:
+        raise ValueError("N and M must be >= 1")
+    rho = _rescaling_rho(sigma)
+    ell, F, F_N = _power_sums(sigma, N, M)
+    return ell, ell.astype(float) ** rho * F / F_N
+
+
 def hadamard_factor(N: int, M: int, sigma: float) -> np.ndarray:
     """Finite-N distortion [G_N]_{n,m} = [n,m]^rho F(N/[n,m]) / F(N) on M x M.
 
@@ -149,11 +158,7 @@ def hadamard_factor(N: int, M: int, sigma: float) -> np.ndarray:
     staying uniformly bounded; entries with [n, m] > N are 0.  Needs a
     finite sigma < 1/2.
     """
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be >= 1")
-    rho = _rescaling_rho(sigma)
-    ell, F, F_N = _power_sums(sigma, N, M)
-    return ell.astype(float) ** rho * F / F_N
+    return _grid_and_factor(N, M, sigma)[1]
 
 
 def _trace_power_even(D: np.ndarray, q: int) -> float:
@@ -168,9 +173,10 @@ def _trace_power_even(D: np.ndarray, q: int) -> float:
 def schatten_diff(N: int, M: int, q: int, sigma: float) -> float:
     """Truncated Schatten-q norm of E(sigma,1) o G_N - E(sigma,1) on M x M.
 
-    Even q with q * rho > 1 only; the norm is (Tr D^q)^(1/q).  No tail
-    certificate is claimed for the infinite matrix, so treat the output
-    as the truncated norm.
+    Even q with q * rho > 1 only; the norm is (Tr D^q)^(1/q).  One LCM
+    grid per call serves both E and G_N, with the bits of entry_matrix
+    and hadamard_factor.  No tail certificate is claimed for the infinite
+    matrix, so treat the output as the truncated norm.
     """
     q = int(q)
     if q < 2 or q % 2 != 0:
@@ -178,7 +184,9 @@ def schatten_diff(N: int, M: int, q: int, sigma: float) -> float:
     rho = _rescaling_rho(sigma)
     if q * rho <= 1.0:
         raise InvalidRegime(f"needs q * rho > 1, got q={q}, rho={rho}")
-    E = entry_matrix(SpectralParams(sigma, 1.0), M)
-    G = hadamard_factor(N, M, sigma)
-    D = E * (G - 1.0)
+    ell, D = _grid_and_factor(N, M, sigma)
+    E = _entries(SpectralParams(sigma, 1.0), ell)
+    del ell
+    D -= 1.0
+    D *= E
     return _trace_power_even(D, q) ** (1.0 / q)

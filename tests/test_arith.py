@@ -123,6 +123,29 @@ class TestLcm:
         n = np.arange(1, M + 1)
         assert np.array_equal(lcm_grid(M) * np.gcd.outer(n, n), np.outer(n, n))
 
+    @pytest.mark.parametrize("M", [1, 2, 17, 360, 700])
+    def test_sieve_matches_lcm_outer(self, M):
+        n = np.arange(1, M + 1, dtype=np.int64)
+        G = lcm_grid(M)
+        assert G.dtype == np.int64
+        assert np.array_equal(G, np.lcm.outer(n, n))
+
+    def test_float_size_raises(self):
+        with pytest.raises(TypeError, match="M must be an integer"):
+            lcm_grid(4.0)
+
+    def test_numpy_integer_size_passes(self):
+        assert np.array_equal(lcm_grid(np.int64(6)), lcm_grid(6))
+        assert np.array_equal(lcm_grid(np.uint8(6)), lcm_grid(6))
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError, match="M must be >= 0"):
+            lcm_grid(-1)
+
+    def test_zero_size_is_empty(self):
+        G = lcm_grid(0)
+        assert G.shape == (0, 0) and G.dtype == np.int64
+
     def test_grid(self):
         G = lcm_grid(40)
         assert G.shape == (40, 40)

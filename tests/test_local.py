@@ -18,6 +18,7 @@ from lcmspectra import (
     build_table,
     corner_quadratic_form,
     hs_bound_squared,
+    local_spectra,
     local_spectrum,
     primes_up_to,
     sandwich_envelope,
@@ -349,6 +350,31 @@ class TestLocalSpectrum:
                 lhs = (1 - 1 / p) * math.fsum(spectrum.eigenvalues**2)
                 rhs = (1 - p ** -(2 + 4 * sigma)) / (1 - p ** -(1 + 2 * sigma)) ** 2
                 assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestLocalSpectra:
+    """local_spectra solves its bases as one batch, each at its own order."""
+
+    BASES = (2, 3, 2.5, 97, 1e6)
+
+    @pytest.mark.parametrize("sigma, tau", [(0.25, 1.0), (0.0, 0.5), (0.25, 1.5)])
+    def test_matches_single_blocks(self, sigma, tau):
+        params = SpectralParams(sigma, tau)
+        batch = local_spectra(self.BASES, params)
+        assert len(batch) == len(self.BASES)
+        for p, got in zip(self.BASES, batch):
+            ref = local_spectrum(p, params)
+            assert type(got.truncation_order) is int
+            assert got.truncation_order == ref.truncation_order
+            assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+
+    def test_empty_gives_empty_list(self):
+        assert local_spectra([], P25) == []
+
+    @pytest.mark.parametrize("bad", [1.0, math.nan])
+    def test_one_bad_base_raises(self, bad):
+        with pytest.raises(ValueError, match="base p must be finite and exceed 1"):
+            local_spectra([2, bad, 3], P25)
 
 
 class TestTopEigenvalueCheck:

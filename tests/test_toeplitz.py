@@ -267,6 +267,17 @@ class TestSchatten:
         oracle = math.sqrt(float(np.sum((E * (G - 1.0)) ** 2)))
         assert schatten_diff(N, M, 2, sigma) == pytest.approx(oracle, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "N, M, q, sigma", [(16, 64, 2, 0.0), (1024, 256, 4, 0.25), (64, 100, 6, 0.1)]
+    )
+    def test_one_grid_matches_public_routes(self, N, M, q, sigma):
+        # the one grid schatten_diff builds gives the bits of the two
+        # public routes, each with its own grid
+        E = entry_matrix(SpectralParams(sigma, 1.0), M)
+        G = hadamard_factor(N, M, sigma)
+        oracle = _trace_power_even(E * (G - 1.0), q) ** (1.0 / q)
+        assert schatten_diff(N, M, q, sigma) == oracle
+
     def test_trace_power_matches_eigen_oracle(self):
         rng = np.random.RandomState(3)
         D = rng.standard_normal((20, 20))
