@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,8 +45,7 @@ from .local import (
     local_spectrum,
 )
 from .spectrum import (
-    DEFAULT_MAX_ENUMERATION,
-    _lambda_values,
+    _search,
     build_table,
     counting_mu,
     enumerate_spectrum,
@@ -54,7 +54,6 @@ from .spectrum import (
 from .toeplitz import (
     build_toeplitz,
     gram_via_formula,
-    hadamard_factor,
     rescaled_singular_values,
     schatten_diff,
 )
@@ -153,15 +152,8 @@ def cmd_spectrum(args) -> None:
 def cmd_counting(args) -> None:
     table = _table(args, args.pmax)
     rho = table.params.rho
-    result = counting_mu(table, args.t, max_enumeration=args.max_enum)
-    fields = {
-        "t": result.t,
-        "mu": result.mu,
-        "n_cut": result.n_cut,
-        "c_star": result.c_star,
-        "epsilon": result.epsilon,
-        "mu_scaled": result.mu * result.t ** (-1.0 / rho),
-    }
+    result = counting_mu(table, args.t)
+    fields = {**asdict(result), "mu_scaled": result.mu * result.t ** (-1.0 / rho)}
     if args.format == "csv":
         _emit(args, list(fields), [list(fields.values())])
     else:
@@ -171,7 +163,7 @@ def cmd_counting(args) -> None:
         ts = np.geomspace(lo, args.t, num=13) if lo < args.t else np.array([args.t])
         lines = ["# " + _comment(args), "t,mu_t_scaled"]
         for t in ts:
-            r = counting_mu(table, float(t), max_enumeration=args.max_enum)
+            r = counting_mu(table, float(t))
             lines.append(f"{_fmt(float(t))},{_fmt(r.mu * t ** (-1.0 / rho))}")
         _write(args.emit_plot_data, "\n".join(lines) + "\n")
 
@@ -201,16 +193,12 @@ def cmd_toeplitz_compare(args) -> None:
     table = _table(args, args.pmax)
     top = min(args.top, args.n)
     rescaled = rescaled_singular_values(args.n, args.sigma, top)
-    window = max(64, 4 * top)
-    reference = np.sort(_lambda_values(table, window)[1:])[::-1][:top]
-    # the counting cutoff for the top-th value v of the window bounds every
-    # index whose value reaches v, so the true top lies below it
-    v = float(reference[-1])
+    # the top-th value v among the first indices seeds the threshold; every
+    # index whose value reaches v lies in the search set at (1 + 1e-12)/v
+    v = float(enumerate_spectrum(table, max(64, 4 * top)).values[top - 1])
     if v == 0.0:
         raise FloorTooHigh(f"lambda_n of rank {top} lies below the floor {table.floor}")
-    n_cut = counting_mu(table, (1.0 + 1e-12) / v, max_enumeration=table.p_max).n_cut
-    if n_cut > window:
-        reference = np.sort(_lambda_values(table, n_cut)[1:])[::-1][:top]
+    reference = np.sort(_search(table, (1.0 + 1e-12) / v)[0])[::-1][:top]
     rows = []
     for rank, (sv, lam) in enumerate(zip(rescaled.tolist(), reference.tolist())):
         rows.append([rank + 1, sv, lam, sv / lam - 1.0])
@@ -365,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--pmax", type=int, default=100_000)
-    sp.add_argument("--max-enum", type=int, default=DEFAULT_MAX_ENUMERATION)
     sp.add_argument("--emit-plot-data", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_counting, format="json")
 

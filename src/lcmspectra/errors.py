@@ -39,7 +39,7 @@ class FloorTooHigh(LookupError):
 
 
 class EnumerationInfeasible(RuntimeError):
-    """A query needs more enumeration than the configured limits allow."""
+    """A query's enumeration exceeds what the table certifies or a cap allows."""
 
 
 class EnumerationCapExceeded(EnumerationInfeasible):

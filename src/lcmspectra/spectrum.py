@@ -10,8 +10,8 @@ as one batch padded to its largest truncation order K.  It enumerates
 and sorts eigenvalues into a RankedSpectrum, a read-only view over two
 arrays that builds a GlobalEigenvalue only for the entries a caller
 reads; it evaluates the counting function mu(t) = #{n : lambda_n > 1/t}
-behind a certified cutoff, and cross-checks against dense finite
-sections.
+by a search over a divisor-closed set of indices, and cross-checks
+against dense finite sections.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# default cap on the indices counting_mu enumerates behind its cutoff
-DEFAULT_MAX_ENUMERATION = 2_000_000
 
 # absolute allowance for the solver error on every stored eigenvalue: dqd
 # is accurate to a few 1e-15 relative, and the mpmath oracle tests hold it
@@ -121,31 +118,31 @@ class RankedSpectrum(Sequence):
 
 @dataclass(frozen=True)
 class SpectralEnvelope:
-    """Certified bound lambda_n <= prefactor * n^(-(rho - epsilon)).
+    """The three bounds behind a certified count of mu(t).
 
-    c_star collects the per-prime ratio bounds inside the table; epsilon
-    absorbs primes beyond the cutoff (at most log n / log p_max of them
-    divide n, each contributing at most the optimal sandwich constant).
-    cap bounds any eigenvalue whose exponent fell outside the included
-    ranges, so the certificate is valid for thresholds above
-    prefactor * cap.
+    cap bounds every ratio lambda_k / lambda_0 that the table does not
+    keep, beyond bounds lambda_1 / lambda_0 at every prime above p_max, and
+    prefactor = Lambda_0 e^(t_bound) bounds the full base product.  So an
+    index whose eigenvalue can exceed 1/t uses only kept ratios whenever
+    1/t exceeds prefactor * max(cap, beyond).
     """
 
-    c_star: float
-    epsilon: float
     cap: float
+    beyond: float
     prefactor: float
 
 
 @dataclass(frozen=True)
 class CountingResult:
-    """mu(t) together with the certified enumeration cutoff behind it."""
+    """mu(t) from the point values of lambda_n, mu_lo <= mu <= mu_hi from
+    the certified lower and upper values, and the factor margin > 1 by
+    which 1/t clears prefactor * max(cap, beyond)."""
 
     t: float
     mu: int
-    n_cut: int
-    c_star: float
-    epsilon: float
+    mu_lo: int
+    mu_hi: int
+    margin: float
 
 
 def _product_tail_bound(params: SpectralParams, p_max: int) -> float:
@@ -171,13 +168,12 @@ class GlobalSpectrumTable:
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
     length and owner[j] the row of kept_ratios[j].  Every array is
-    read-only.  Two values are computed once, on first use, and kept
-    read-only: the envelope, and row_of, the row of the least prime
-    factor of every integer up to p_max (4 bytes per integer: 3.8 MB at
-    p_max = 10^6, 38 MB and about 0.3 s at 10^7), so a table used only
-    for kappa never builds it.  Queries may run concurrently; if two
-    threads use a table for the first time at once, a value may be
-    computed twice, which does no harm.
+    read-only.  One value is computed once, on first use, and kept
+    read-only: row_of, the row of the least prime factor of every integer
+    up to p_max (4 bytes per integer: 3.8 MB at p_max = 10^6, 38 MB and
+    about 0.3 s at 10^7), so a table used only for kappa never builds it.
+    Queries may run concurrently; if two threads use a table for the
+    first time at once, row_of may be computed twice, which does no harm.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, and tail_exponent_bound a certified bound t_bound on the log
@@ -216,7 +212,7 @@ class GlobalSpectrumTable:
     def __getstate__(self) -> dict:
         # the cached members are rebuilt on first use, and memoryviews do
         # not pickle
-        cached = {"row_of", "_views", "_envelope"}
+        cached = {"row_of", "_views"}
         return {k: v for k, v in self.__dict__.items() if k not in cached}
 
     @functools.cached_property
@@ -243,13 +239,15 @@ class GlobalSpectrumTable:
         arrays = (self.primes, self.offsets, self.lengths, self.kept_ratios, self.row_of)
         return tuple(map(memoryview, arrays))
 
-    @functools.cached_property
-    def _envelope(self) -> SpectralEnvelope:
-        return _build_envelope(self)
-
     def envelope(self) -> SpectralEnvelope:
-        """The certified envelope, computed on the first call and kept."""
-        return self._envelope
+        """The bounds behind a certified count, computed on each call."""
+        # an unkept eigenvalue lies below floor + err, and lambda_0 >= 1
+        cap = self.floor + float(np.max(self.tail_bounds)) + _SOLVER_MARGIN
+        # lambda_1 / lambda_0 <= c_upper p^-rho; c_upper = (1+u)/(1-u) with
+        # u = p^(-tau/2) and p^-rho both fall in p
+        c_upper = best_envelope(float(self.p_max), self.params).c_upper
+        prefactor = self.base_product * math.exp(self.tail_exponent_bound)
+        return SpectralEnvelope(cap, c_upper * self.p_max**-self.params.rho, prefactor)
 
 
 def build_table(
@@ -407,75 +405,85 @@ def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> RankedSpectrum
     return RankedSpectrum((order + 1).astype(np.int64, copy=False), vals[order])
 
 
-def _build_envelope(table: GlobalSpectrumTable) -> SpectralEnvelope:
-    params = table.params
-    owner, lam0 = table.owner, table.lambda0
-    err = table.tail_bounds + _SOLVER_MARGIN
-    lamk = table.kept_ratios * lam0[owner]
-    k = np.arange(owner.size) - table.offsets[owner] + 1.0
-    # only eigenvalues far above the error margin enter the ratio product;
-    # everything deeper is covered by the cap clause below
-    inc = lamk >= 1e4 * err[owner]
-    o = owner[inc]
-    f = np.log((lamk[inc] + err[o]) / (lam0[o] - err[o]))
-    f += params.rho * k[inc] * np.log(table.primes[o])
-    f_row = np.full(len(table), -np.inf)
-    np.maximum.at(f_row, o, f)
-    log_cstar = math.fsum(f_row[f_row > 0.0])
-    # the largest excluded eigenvalue, or the floor; every kept eigenvalue
-    # lies above the floor, so floor + err covers the rows excluding none
-    cap = float(np.max((lamk + err[owner])[~inc], initial=np.max(table.floor + err)))
-    eps = math.log(best_envelope(float(table.p_max), params).c_upper) / math.log(
-        table.p_max
-    )
-    c_star = math.exp(log_cstar)
-    prefactor = c_star * table.base_product * math.exp(table.tail_exponent_bound)
-    return SpectralEnvelope(c_star=c_star, epsilon=eps, cap=cap, prefactor=prefactor)
+def _search(table: GlobalSpectrumTable, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Point and certified lower values of lambda_n over S_hi, and the margin.
 
-
-def counting_mu(
-    table: GlobalSpectrumTable, t: float, max_enumeration: int = DEFAULT_MAX_ENUMERATION
-) -> CountingResult:
-    """mu(t) = #{n : lambda_n > 1/t}, exact behind a certified cutoff.
-
-    The cutoff comes from the envelope lambda_n <= prefactor * n^-(rho-eps):
-    indices beyond it cannot qualify, indices below it are enumerated and
-    counted directly.  max_enumeration must be >= 1.
+    S_hi holds the n whose certified upper value, prefactor times one
+    ratio bound r_hi <= 1 per prime power, exceeds 1/t.  r_hi falls with
+    the exponent, so S_hi is closed under divisors: level L holds its n
+    with L distinct prime factors, and each appends a later prime p^k
+    while hi * r_hi(p^k) > x = 1/(t prefactor).  Primes are appended in
+    ascending order, so a point value is bit-identical to lambda_of and
+    the lambda sieve.  Every other index has a factor below
+    max(cap, beyond), so x must exceed it; the margin is their quotient.
     """
-    if not (0.0 < t < math.inf):
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if max_enumeration < 1:
-        raise ValueError(f"max_enumeration must be >= 1, got {max_enumeration}")
     env = table.envelope()
     if not math.isfinite(env.prefactor):
         raise CertificateUnavailable(
-            f"no certified tail bound at p_max={table.p_max} in this regime; "
-            "enlarge p_max"
+            f"no certified tail bound at p_max={table.p_max} in this regime; enlarge p_max"
         )
-    threshold = 1.0 / t
-    if threshold <= 2.0 * env.prefactor * env.cap:
+    x = 1.0 / (t * env.prefactor)
+    bound = max(env.cap, env.beyond)
+    if not x > bound:
         raise EnumerationInfeasible(
-            f"threshold 1/t={threshold:.3g} is too close to the numerical floor "
-            f"({env.prefactor * env.cap:.3g}) for a certified count"
+            f"1/(t prefactor) = {x:.3g} (1/t = {1.0 / t:.3g}, prefactor {env.prefactor:.3g})"
+            f" is not above the cap {env.cap:.3g} on unkept ratios or the bound"
+            f" {env.beyond:.3g} on primes above p_max={table.p_max}"
         )
-    expo = table.params.rho - env.epsilon
-    if expo <= 0.0:
-        raise CertificateUnavailable("envelope exponent correction exceeds rho")
-    x = env.prefactor * t
-    if x <= 1.0:
-        return CountingResult(float(t), 0, 0, env.c_star, env.epsilon)
-    n_cut = int(math.ceil(x ** (1.0 / expo)))
-    if n_cut > table.p_max:
-        raise EnumerationInfeasible(
-            f"certified cutoff {n_cut} exceeds table coverage p_max={table.p_max}"
-        )
-    if n_cut > max_enumeration:
-        raise EnumerationInfeasible(
-            f"certified cutoff {n_cut} exceeds max_enumeration={max_enumeration}"
-        )
-    vals = _lambda_values(table, n_cut)
-    mu = int(np.count_nonzero(vals[1:] > threshold))
-    return CountingResult(float(t), mu, n_cut, env.c_star, env.epsilon)
+    owner, offsets, ratios = table.owner, table.offsets, table.kept_ratios
+    lam0, err = table.lambda0, table.tail_bounds + _SOLVER_MARGIN
+
+    def bounds(j):
+        """Upper and lower bounds on the true ratios of the kept ratios j."""
+        i = owner[j]
+        lamk, l0, e = ratios[j] * lam0[i], lam0[i], err[i]
+        # a true ratio never exceeds 1, which keeps S_hi closed under divisors
+        return np.minimum((lamk + e) / (l0 - e), 1.0), np.maximum(lamk - e, 0.0) / (l0 + e)
+
+    # the first upper ratio is not monotone in p at small primes, so rows are
+    # tried by its running maximum from the last row back
+    kept = np.flatnonzero(table.lengths)
+    first = np.zeros(len(table))
+    first[kept] = bounds(offsets[kept])[0]
+    reach = -np.maximum.accumulate(first[::-1])[::-1]
+    # level 0 is n = 1, the empty product
+    hi, row = np.ones(int(1.0 > x)), np.full(int(1.0 > x), -1)
+    val = lo = np.full(hi.size, table.base_product)
+    found = [(val, lo)]
+    while hi.size:
+        # fl(hi * r) > x implies r >= fl(x / hi), so this end widens the
+        # rows to try; the product test below decides membership
+        end = np.searchsorted(reach, -(x / hi), side="right")
+        counts = np.maximum(end - row - 1, 0)
+        parent = np.repeat(np.arange(hi.size), counts)
+        rows = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent] + row[parent] + 1
+        j, stop = offsets[rows], offsets[rows + 1]
+        levels = [(hi[:0], val[:0], lo[:0], row[:0])]  # ends the search if none qualifies
+        while j.size:
+            live = j < stop
+            parent, j, stop = parent[live], j[live], stop[live]
+            r_hi, r_lo = bounds(j)
+            up = hi[parent] * r_hi
+            keep = up > x
+            parent, j, stop = parent[keep], j[keep], stop[keep]
+            levels.append((up[keep], val[parent] * ratios[j], lo[parent] * r_lo[keep], owner[j]))
+            j = j + 1
+        hi, val, lo, row = (np.concatenate(a) for a in zip(*levels))
+        found.append((val, lo))
+    values, lower = (np.concatenate(a) for a in zip(*found))
+    return values, lower, x / bound
+
+
+def counting_mu(table: GlobalSpectrumTable, t: float) -> CountingResult:
+    """mu(t) = #{n : lambda_n > 1/t}, counted over the divisor-closed set
+    S_hi of _search, which holds every n whose eigenvalue can exceed 1/t;
+    mu_lo counts the certified lower values there and mu_hi = |S_hi|.
+    """
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    values, lower, margin = _search(table, t)
+    mu, mu_lo = (int(np.count_nonzero(v > 1.0 / t)) for v in (values, lower))
+    return CountingResult(float(t), mu, mu_lo, values.size, margin)
 
 
 def _entries(params: SpectralParams, ell: np.ndarray) -> np.ndarray:

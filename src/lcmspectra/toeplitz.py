@@ -11,7 +11,8 @@ table; that closed form and the dense T_N are kept as the independent
 oracles.  Rescaled by rho N^(-rho) (tau = 1 context, rho = 1 - 2 sigma)
 the squared singular values track the eigenvalues of E(sigma, 1); the
 Hadamard factor G_N, built from the same F, measures the finite-N
-distortion and the Schatten diagnostics quantify its decay.
+distortion and the Schatten diagnostics quantify its decay.  Sizes N, M,
+k and q must be integers: a float raises TypeError naming it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .arith import SpectralParams, lcm_grid
+from .arith import SpectralParams, _integer, lcm_grid
 from .errors import EigensolverError, InvalidRegime
 from .spectrum import _entries
 
@@ -48,6 +49,7 @@ def _toeplitz_csc(N: int, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     Column m (1-based) holds rows k m, k = 1..N // m, with value k^(-sigma);
     rows are 0-based and ascending within each column.
     """
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     m = np.arange(1, N + 1)
@@ -73,6 +75,7 @@ def _power_sums(sigma: float, N: int, M: int) -> tuple[np.ndarray, np.ndarray, f
     F(x) = sum_{k <= x} k^(-2 sigma) is read from one prefix table of
     length N + 1; the counts N // ell never exceed N.
     """
+    N, M = _integer(N, "N"), _integer(M, "M")
     powers = np.arange(1, N + 1, dtype=float) ** (-2.0 * sigma)
     prefix = np.concatenate(([0.0], np.cumsum(powers)))
     ell = lcm_grid(M)
@@ -126,6 +129,7 @@ def rescaled_singular_values(N: int, sigma: float, k: int = 1) -> np.ndarray:
     """
     rho = _rescaling_rho(sigma)
     T = _toeplitz_sparse(N, sigma)
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= N:
@@ -178,7 +182,7 @@ def schatten_diff(N: int, M: int, q: int, sigma: float) -> float:
     and hadamard_factor.  No tail certificate is claimed for the infinite
     matrix, so treat the output as the truncated norm.
     """
-    q = int(q)
+    q = _integer(q, "q")
     if q < 2 or q % 2 != 0:
         raise InvalidRegime("Schatten exponent must be an even integer >= 2")
     rho = _rescaling_rho(sigma)

@@ -124,12 +124,27 @@ class TestCounting:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["mu"] > 0 and payload["n_cut"] >= payload["mu"]
+        assert 0 < payload["mu_lo"] <= payload["mu"] <= payload["mu_hi"]
+        assert payload["margin"] > 1.0
+        assert list(payload) == ["_comment", "margin", "mu", "mu_hi", "mu_lo", "mu_scaled", "t"]
         lines = plot.read_text().splitlines()
         assert lines[1] == "t,mu_t_scaled"
         pairs = [tuple(map(float, l.split(","))) for l in lines[2:]]
         assert len(pairs) == 13
         assert pairs[-1][0] == 500.0
+
+    def test_csv_at_rho_half(self, capsys):
+        # at t = 200, 1/t clears the bound on primes above p_max by 1.22
+        code, out, _ = run(
+            ["counting", "--sigma", "0.25", "--tau", "1", "--t", "200", "--pmax", "1000000",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        header, row = out.splitlines()[1:]
+        assert header == "t,mu,mu_lo,mu_hi,margin,mu_scaled"
+        t, mu, mu_lo, mu_hi, margin, _ = map(float, row.split(","))
+        assert (t, mu) == (200.0, 227_035) and mu_lo <= mu <= mu_hi and margin > 1.0
 
 
 class TestOtherCommands:
@@ -212,7 +227,7 @@ class TestOtherCommands:
 
     def test_toeplitz_compare_ranks_against_certified_top(self, capsys):
         # at sigma = 0.4 the top 100 reach n = 491, past the first window
-        # of 400 indices, so the reference is enumerated again to n_cut
+        # of 400 indices, which the search finds
         code, out, _ = run(
             ["toeplitz-compare", "--sigma", "0.4", "--n", "128", "--top", "100",
              "--pmax", "100000"],
@@ -272,9 +287,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "floor, reason",
-        # rank 3 lies below a floor of 0.5; at 0.01 its value is too close
-        # to the floor for a certified cutoff
-        [("0.5", "below the floor"), ("0.01", "too close to the numerical floor")],
+        # rank 3 lies below a floor of 0.5
+        [("0.5", "below the floor")],
     )
     def test_toeplitz_compare_without_certificate_is_three(self, floor, reason, capsys):
         code, out, err = run(
@@ -284,6 +298,31 @@ class TestExitCodes:
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: certificate unavailable") and reason in err
+
+    def test_toeplitz_compare_beyond_coverage_is_three(self, capsys):
+        # at rho = 0.2 and p_max = 200 the rank-10 value does not clear the
+        # bound on primes above p_max
+        code, out, err = run(
+            ["toeplitz-compare", "--sigma", "0.4", "--n", "256", "--top", "10",
+             "--pmax", "200"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: certificate unavailable")
+        assert "primes above p_max=200" in err
+
+    def test_toeplitz_compare_near_floor_is_certified(self, capsys):
+        # at floor 0.01 the search threshold, about 0.30, is 13 times
+        # max(cap, beyond), so the top 3 are certified
+        code, out, _ = run(
+            ["toeplitz-compare", "--sigma", "0.25", "--n", "64", "--top", "3",
+             "--pmax", "2000", "--floor", "0.01"],
+            capsys,
+        )
+        assert code == 0
+        got = [float(l.split(",")[2]) for l in out.splitlines()[2:]]
+        table = build_table(SpectralParams(0.25, 1.0), 2000, target_floor=0.01)
+        assert got == [e.value for e in enumerate_spectrum(table, 2000)[:3]]
 
     def test_spectrum_pmax_error_names_value(self, capsys):
         code, _, err = run(
@@ -373,8 +412,6 @@ BAD_INPUTS = {
                            "--pmax", "0"],
     "beurling-pmax-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
                            "--pmax", "0"],
-    "counting-max-enum-negative": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "100",
-                                   "--pmax", "1000", "--max-enum=-1"],
     "beurling-max-enum-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
                                "--pmax", "1000", "--max-enum", "0"],
 }

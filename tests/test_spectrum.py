@@ -34,6 +34,7 @@ from lcmspectra.kappa import g_p_at, kappa_numeric
 from lcmspectra.local import (
     DEFAULT_FLOOR,
     LocalSpectrum,
+    best_envelope,
     block_eigenvalues,
     hs_bound_squared,
     local_spectrum,
@@ -41,7 +42,6 @@ from lcmspectra.local import (
 )
 from lcmspectra.spectrum import (
     _HEADER,
-    _build_envelope,
     _cache_path,
     _lambda_values,
     _product_tail_bound,
@@ -308,12 +308,6 @@ class TestCounting:
         with pytest.raises(ValueError, match="t must be positive and finite"):
             counting_mu(table_small, t)
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_rejects_max_enumeration_below_one(self, table_small, cap):
-        for t in (0.9 / table_small.base_product, 200.0):
-            with pytest.raises(ValueError, match="max_enumeration must be >= 1"):
-                counting_mu(table_small, t, max_enumeration=cap)
-
     def test_zero_below_inverse_top(self, table_small):
         r = counting_mu(table_small, 0.9 / table_small.base_product)
         assert r.mu == 0
@@ -338,13 +332,40 @@ class TestCounting:
 
     def test_envelope_constant_reported(self, table_counting):
         r = counting_mu(table_counting, 100.0)
-        assert r.c_star >= 1.0
-        assert 0.0 < r.epsilon < P25.rho
-        assert r.n_cut >= r.mu
+        assert r.mu_lo <= r.mu <= r.mu_hi
+        env = table_counting.envelope()
+        x = 1.0 / (100.0 * env.prefactor)
+        assert r.margin == x / max(env.cap, env.beyond) and r.margin > 1.0
 
     def test_infeasible_reports_requirement(self, table_small):
+        with pytest.raises(EnumerationInfeasible, match="primes above p_max=2000"):
+            counting_mu(table_small, 1e6)  # 1/t is below the bound on p > 2000
+
+    def test_search_equals_sieve_at_rho_half(self, table_half_1e6):
+        # every n with lambda_n > 1/200 at (1/4, 1) is at most p_max = 10^6,
+        # so the sieve over n <= p_max is the reference
+        t = 200.0
+        r = counting_mu(table_half_1e6, t)
+        sieve = _lambda_values(table_half_1e6, 10**6)[1:]
+        assert r.mu == np.count_nonzero(sieve > 1.0 / t) == 227_035
+        assert r.mu_lo <= r.mu <= r.mu_hi and r.margin > 1.0
         with pytest.raises(EnumerationInfeasible):
-            counting_mu(table_small, 1e6)  # cutoff beyond p_max = 2000
+            counting_mu(table_half_1e6, 1000.0)
+
+    @given(t=st.floats(0.5, 1000.0))
+    @settings(max_examples=60, deadline=None)
+    def test_search_equals_sieve(self, t, table_small, sieve_small):
+        # at t <= 1000 every n with lambda_n > 1/t is at most p_max = 2000
+        r = counting_mu(table_small, t)
+        assert r.mu == np.count_nonzero(sieve_small > 1.0 / t)
+        assert r.mu_lo <= r.mu <= r.mu_hi
+
+    @pytest.mark.parametrize("p", [2003, 2011, 10_007, 1_000_003])
+    def test_beyond_bounds_primes_above_p_max(self, p, table_small):
+        beyond = table_small.envelope().beyond
+        assert beyond >= best_envelope(p, P25).c_upper * p**-P25.rho
+        eig = local_spectrum(p, P25).eigenvalues
+        assert beyond >= eig[1] / eig[0]
 
     def test_uncertified_regime_still_enumerates(self):
         # rho = 0.15 at p_max = 10 admits no tail certificate, but the
@@ -355,6 +376,16 @@ class TestCounting:
         assert lambda_of(6, table).value > 0
         with pytest.raises(CertificateUnavailable):
             counting_mu(table, 10.0)
+
+
+@pytest.fixture(scope="module")
+def table_half_1e6():
+    return build_table(SpectralParams(0.25, 1.0), 10**6)
+
+
+@pytest.fixture(scope="module")
+def sieve_small(table_small):
+    return _lambda_values(table_small, 2000)[1:]
 
 
 class TestFiniteSections:
@@ -448,24 +479,8 @@ def _local_from_row(table, i):
 
 
 def _envelope_loop(table):
-    """(c_star, cap) from the per-prime loop that the flat envelope replaced."""
-    rho = table.params.rho
-    log_cstar = 0.0
-    cap = table.floor
-    for i in range(len(table.primes)):
-        lam0 = table.lambda0[i]
-        lamk = _row_ratios(table, i) * lam0
-        err = float(table.tail_bounds[i]) + 1e-13
-        logp = math.log(table.primes[i])
-        inc = lamk >= 1e4 * err
-        if inc.any():
-            k = np.flatnonzero(inc) + 1.0
-            f = float(np.max(np.log((lamk[inc] + err) / (lam0 - err)) + rho * k * logp))
-            if f > 0.0:
-                log_cstar += f
-        excluded = lamk[~inc]
-        cap = max(cap, (float(excluded[0]) if excluded.size else table.floor) + err)
-    return math.exp(log_cstar), cap
+    """cap from a per-prime loop: the floor plus the largest error allowance."""
+    return max(table.floor + float(table.tail_bounds[i]) + 1e-13 for i in range(len(table)))
 
 
 @pytest.fixture(scope="module")
@@ -513,11 +528,6 @@ class TestFlatTable:
         assert "row_of" not in back.__dict__
         assert lambda_of(6, back).value == want
 
-    def test_envelope_computed_once(self, table_small):
-        env = table_small.envelope()
-        assert table_small.envelope() is env
-        assert env == _build_envelope(table_small)
-
     def test_rows_match_single_block_solve(self, table_small):
         for p in (2, 3, 97, 1999):
             i = int(np.searchsorted(table_small.primes, p))
@@ -563,20 +573,18 @@ class TestFlatTable:
     @pytest.mark.parametrize("name", ["table_small", "table_counting"])
     def test_envelope_matches_per_prime_loop(self, name, request):
         table = request.getfixturevalue(name)
-        c_star, cap = _envelope_loop(table)
-        env = table.envelope()
-        assert env.c_star == pytest.approx(c_star, rel=1e-13, abs=0)
-        assert env.cap == cap
+        assert table.envelope().cap == _envelope_loop(table)
 
     @pytest.mark.parametrize("floor", [0.3, 0.9])
     def test_envelope_cap_with_few_or_no_kept_ratios(self, floor):
-        # most rows (floor 0.3) or all of them (0.9) keep no ratio, so
-        # floor + err sets the cap
+        # most rows (floor 0.3) or all of them (0.9) keep no ratio; the
+        # ratios that a deep floor keeps beyond them lie below the cap
         table = build_table(P25, 50, target_floor=floor)
-        c_star, cap = _envelope_loop(table)
-        env = table.envelope()
-        assert env.c_star == pytest.approx(c_star, rel=1e-13, abs=0)
-        assert env.cap == cap
+        cap = table.envelope().cap
+        assert cap == _envelope_loop(table)
+        deep = build_table(P25, 50)
+        for i in range(len(table)):
+            assert np.all(_row_ratios(deep, i)[table.lengths[i]:] <= cap)
 
     @pytest.mark.parametrize("name", ["table_small", "table_half"])
     def test_euler_factors_match_g_p_at(self, name, request):

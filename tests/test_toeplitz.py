@@ -301,3 +301,42 @@ class TestSchatten:
             schatten_diff(16, 32, 3, 0.0)
         with pytest.raises(InvalidRegime):
             schatten_diff(16, 32, 2, 0.3)  # q*rho = 0.8 <= 1
+
+
+class TestIntegerSizes:
+    def test_float_k_raises_type_error(self):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            rescaled_singular_values(64, 0.25, 3.0)
+
+    def test_float_q_raises_type_error(self):
+        with pytest.raises(TypeError, match="q must be an integer"):
+            schatten_diff(64, 16, 4.5, 0.25)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda N: build_toeplitz(N, 0.25),
+            lambda N: rescaled_singular_values(N, 0.25, 3),
+            lambda N: hadamard_factor(N, 16, 0.25),
+            lambda N: schatten_diff(N, 16, 4, 0.25),
+            lambda N: gram_via_formula(N, 0.25),
+        ],
+        ids=["build_toeplitz", "rescaled", "hadamard", "schatten", "gram"],
+    )
+    @pytest.mark.parametrize("N", [64.0, np.float64(64.0), 64.5], ids=["float", "numpy", "half"])
+    def test_float_n_raises_type_error(self, call, N):
+        with pytest.raises(TypeError, match="N must be an integer"):
+            call(N)
+
+    def test_float_m_raises_type_error(self):
+        with pytest.raises(TypeError, match="M must be an integer"):
+            hadamard_factor(64, 16.0, 0.25)
+
+    def test_numpy_integers_pass(self):
+        n, m, k, q = np.int64(64), np.int32(16), np.int64(3), np.int32(4)
+        assert np.array_equal(build_toeplitz(n, 0.25), build_toeplitz(64, 0.25))
+        assert np.array_equal(
+            rescaled_singular_values(n, 0.25, k), rescaled_singular_values(64, 0.25, 3)
+        )
+        assert np.array_equal(hadamard_factor(n, m, 0.25), hadamard_factor(64, 16, 0.25))
+        assert schatten_diff(n, m, q, 0.25) == schatten_diff(64, 16, 4, 0.25)
