@@ -6,12 +6,14 @@ Lambda_0 = prod_p lambda_0(E_p).  This module builds the per-prime table,
 one flat row per prime, from the same solve and floor cut as
 local.local_spectrum, run over the ascending primes in bounded waves:
 contiguous slices of about _WAVE_ENTRY_SWEEPS / K^2 primes, each solved
-as one batch padded to its largest truncation order K.  It enumerates
-and sorts eigenvalues into a RankedSpectrum, a read-only view over two
-arrays that builds a GlobalEigenvalue only for the entries a caller
-reads; it evaluates the counting function mu(t) = #{n : lambda_n > 1/t}
-by a search over a divisor-closed set of indices, and cross-checks
-against dense finite sections.
+as one batch padded to its largest truncation order K.  Two queries list
+indices as ascending products of prime powers, so that neither factors
+an index: the lambda sieve, whose values enumerate_spectrum ranks into a
+RankedSpectrum, a read-only view over two arrays that builds a
+GlobalEigenvalue only for the entries a caller reads; and the search
+behind the counting function mu(t) = #{n : lambda_n > 1/t}, over a
+divisor-closed set of indices.  The module also cross-checks against
+dense finite sections.
 """
 
 from __future__ import annotations
@@ -168,12 +170,14 @@ class GlobalSpectrumTable:
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
     length and owner[j] the row of kept_ratios[j].  Every array is
-    read-only.  One value is computed once, on first use, and kept
+    read-only.  Two values are computed once, on first use, and kept
     read-only: row_of, the row of the least prime factor of every integer
     up to p_max (4 bytes per integer: 3.8 MB at p_max = 10^6, 38 MB and
-    about 0.3 s at 10^7), so a table used only for kappa never builds it.
-    Queries may run concurrently; if two threads use a table for the
-    first time at once, row_of may be computed twice, which does no harm.
+    about 0.3 s at 10^7), which only lambda_of reads, so ranking, counting
+    and kappa never build it; and reach, the row bound of the counting
+    search, one float per prime.  Queries may run concurrently; if two
+    threads use a table for the first time at once, a value may be
+    computed twice, which does no harm.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, and tail_exponent_bound a certified bound t_bound on the log
@@ -212,7 +216,7 @@ class GlobalSpectrumTable:
     def __getstate__(self) -> dict:
         # the cached members are rebuilt on first use, and memoryviews do
         # not pickle
-        cached = {"row_of", "_views"}
+        cached = {"row_of", "reach", "_views"}
         return {k: v for k, v in self.__dict__.items() if k not in cached}
 
     @functools.cached_property
@@ -232,6 +236,23 @@ class GlobalSpectrumTable:
             row_of[p * p :: p] = i
         row_of.setflags(write=False)
         return row_of
+
+    @functools.cached_property
+    def reach(self) -> np.ndarray:
+        """The row bound of _search, read-only: -reach[i] is the largest
+        certified upper bound on a first ratio lambda_1 / lambda_0 over the
+        rows from i on (0 where none of them keeps a ratio).
+
+        That bound is not monotone in p at small primes, hence the running
+        maximum from the last row back; negated, it ascends, as
+        searchsorted needs.
+        """
+        kept = np.flatnonzero(self.lengths)
+        first = np.zeros(len(self))
+        first[kept] = _ratio_bounds(self, self.offsets[kept])[0]
+        reach = -np.maximum.accumulate(first[::-1])[::-1]
+        reach.setflags(write=False)
+        return reach
 
     @functools.cached_property
     def _views(self) -> tuple[memoryview, ...]:
@@ -315,10 +336,10 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     While the cofactor of n exceeds p_max it is trial-divided by the
     table's primes; from there on each least prime factor is read from
     table.row_of.  The ratios are multiplied in ascending-prime order, as
-    in the lambda sieve, and the smallest prime without a usable ratio
-    raises.  The table's arrays are read through memoryviews that the
-    table keeps (Python scalars, no copy).  n must be an integer (a float
-    raises TypeError).
+    in the lambda sieve and the counting search, and the smallest prime
+    without a usable ratio raises.  The table's arrays are read through
+    memoryviews that the table keeps (Python scalars, no copy).  n must be
+    an integer (a float raises TypeError).
     """
     n = _integer(n, "n")
     if n < 1:
@@ -351,58 +372,91 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     return GlobalEigenvalue(n, value)
 
 
+def _fan_out(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (parent, row) with start[parent] <= row < end[parent],
+    by parent, then row, ascending."""
+    counts = np.maximum(end - start, 0)
+    parent = np.repeat(np.arange(counts.size), counts)
+    rows = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent] + start[parent]
+    return parent, rows
+
+
 def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
     """values[n] = lambda_n for 1 <= n <= n_max; exponents below the floor
     contribute 0 (kept total, never silently wrong).
 
-    Each round peels the smallest prime power p^k off every unfinished n,
-    its row read from table.row_of, so Lambda_0 is multiplied by the
-    ratios in ascending-prime order, as in lambda_of, and the values are
-    bit-identical to it.
+    The indices are listed as ascending products of prime powers, as in
+    _search: level L holds the n <= n_max with L distinct prime factors,
+    and each appends a later prime power p^k while n p^k <= n_max, its
+    value times the k-th ratio of p's row.  So Lambda_0 is multiplied by
+    the ratios in ascending-prime order, as in lambda_of, and the values
+    are bit-identical to it.  An index whose exponent runs past its row
+    keeps the value 0, and so do its multiples.  The cost grows with
+    n_max, not p_max, and no index is factored.
     """
     if n_max > table.p_max:
         raise PrimeOutOfRange(
             f"enumeration needs p_max >= n_max, got p_max={table.p_max} < {n_max}"
         )
-    vals = np.full(n_max + 1, table.base_product)
-    vals[0] = 0.0
-    ns = np.arange(2, n_max + 1)
-    rest = ns.copy()
-    while ns.size:
-        i = table.row_of[rest]
-        p = table.primes[i]
-        rest //= p
-        k = np.ones(ns.size, dtype=np.int64)
-        again = np.flatnonzero(rest % p == 0)
-        while again.size:
-            rest[again] //= p[again]
-            k[again] += 1
-            again = again[rest[again] % p[again] == 0]
-        ok = k <= table.lengths[i]
-        factor = np.zeros(ns.size)
-        factor[ok] = table.kept_ratios[table.offsets[i[ok]] + k[ok] - 1]
-        vals[ns] *= factor
-        more = rest > 1
-        ns, rest = ns[more], rest[more]
+    primes, owner, offsets, ratios = table.primes, table.owner, table.offsets, table.kept_ratios
+    vals = np.zeros(n_max + 1)
+    vals[1] = table.base_product
+    # rows_upto[q] is the number of the table's primes up to q
+    rows_upto = np.zeros(n_max + 1, dtype=np.int64)
+    rows_upto[primes[: np.searchsorted(primes, n_max, side="right")]] = 1
+    np.cumsum(rows_upto, out=rows_upto)
+    # level 0 is n = 1, the empty product
+    n, val, row = np.ones(1, dtype=np.int64), np.full(1, table.base_product), np.full(1, -1)
+    while n.size:
+        parent, rows = _fan_out(row + 1, rows_upto[n_max // n])
+        live = table.lengths[rows] > 0
+        parent, rows = parent[live], rows[live]
+        p, j, stop = primes[rows], offsets[rows], offsets[rows + 1]
+        m = n[parent] * p
+        levels = [(n[:0], val[:0], row[:0])]  # ends the expansion if no child is kept
+        while j.size:
+            v = val[parent] * ratios[j]
+            vals[m] = v
+            levels.append((m, v, owner[j]))
+            # the next power, while it is at most n_max and its ratio kept
+            j = j + 1
+            more = (m <= n_max // p) & (j < stop)
+            parent, p, j, stop, m = (a[more] for a in (parent, p, j, stop, m))
+            m = m * p
+        n, val, row = (np.concatenate(a) for a in zip(*levels))
     return vals
 
 
 def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> RankedSpectrum:
     """lambda_n for n = 1..n_max, sorted by value descending, ties by n.
 
-    Needs p_max >= n_max so that every index factors inside the table, and
-    an integer n_max (a float raises TypeError).  The values come from the
-    lambda sieve, which factors no index one by one.  The result holds the
-    ranked indices and values as arrays and builds a GlobalEigenvalue only
-    when an entry is read.
+    Needs p_max >= n_max so that every index has its primes in the table,
+    and an integer n_max (a float raises TypeError).  The values come from
+    the lambda sieve, which builds them as products of prime powers and
+    factors no index.  They are ranked by the default sort, and again by a
+    stable one only when two neighbours in that order are equal, so ties
+    keep ascending n.  The result holds the ranked indices and values as
+    arrays and builds a GlobalEigenvalue only when an entry is read.
     """
     n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     vals = _lambda_values(table, n_max)[1:]
-    # a stable sort keeps ties in ascending n
-    order = np.argsort(-vals, kind="stable")
-    return RankedSpectrum((order + 1).astype(np.int64, copy=False), vals[order])
+    order = np.argsort(-vals)
+    ranked = vals[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(-vals, kind="stable")
+        ranked = vals[order]
+    return RankedSpectrum((order + 1).astype(np.int64, copy=False), ranked)
+
+
+def _ratio_bounds(table: GlobalSpectrumTable, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bounds on the true ratios of the kept ratios j."""
+    i = table.owner[j]
+    l0 = table.lambda0[i]
+    lamk, e = table.kept_ratios[j] * l0, table.tail_bounds[i] + _SOLVER_MARGIN
+    # a true ratio never exceeds 1, which keeps S_hi closed under divisors
+    return np.minimum((lamk + e) / (l0 - e), 1.0), np.maximum(lamk - e, 0.0) / (l0 + e)
 
 
 def _search(table: GlobalSpectrumTable, t: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -430,22 +484,7 @@ def _search(table: GlobalSpectrumTable, t: float) -> tuple[np.ndarray, np.ndarra
             f" is not above the cap {env.cap:.3g} on unkept ratios or the bound"
             f" {env.beyond:.3g} on primes above p_max={table.p_max}"
         )
-    owner, offsets, ratios = table.owner, table.offsets, table.kept_ratios
-    lam0, err = table.lambda0, table.tail_bounds + _SOLVER_MARGIN
-
-    def bounds(j):
-        """Upper and lower bounds on the true ratios of the kept ratios j."""
-        i = owner[j]
-        lamk, l0, e = ratios[j] * lam0[i], lam0[i], err[i]
-        # a true ratio never exceeds 1, which keeps S_hi closed under divisors
-        return np.minimum((lamk + e) / (l0 - e), 1.0), np.maximum(lamk - e, 0.0) / (l0 + e)
-
-    # the first upper ratio is not monotone in p at small primes, so rows are
-    # tried by its running maximum from the last row back
-    kept = np.flatnonzero(table.lengths)
-    first = np.zeros(len(table))
-    first[kept] = bounds(offsets[kept])[0]
-    reach = -np.maximum.accumulate(first[::-1])[::-1]
+    owner, offsets, ratios, reach = table.owner, table.offsets, table.kept_ratios, table.reach
     # level 0 is n = 1, the empty product
     hi, row = np.ones(int(1.0 > x)), np.full(int(1.0 > x), -1)
     val = lo = np.full(hi.size, table.base_product)
@@ -454,15 +493,13 @@ def _search(table: GlobalSpectrumTable, t: float) -> tuple[np.ndarray, np.ndarra
         # fl(hi * r) > x implies r >= fl(x / hi), so this end widens the
         # rows to try; the product test below decides membership
         end = np.searchsorted(reach, -(x / hi), side="right")
-        counts = np.maximum(end - row - 1, 0)
-        parent = np.repeat(np.arange(hi.size), counts)
-        rows = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent] + row[parent] + 1
+        parent, rows = _fan_out(row + 1, end)
         j, stop = offsets[rows], offsets[rows + 1]
         levels = [(hi[:0], val[:0], lo[:0], row[:0])]  # ends the search if none qualifies
         while j.size:
             live = j < stop
             parent, j, stop = parent[live], j[live], stop[live]
-            r_hi, r_lo = bounds(j)
+            r_hi, r_lo = _ratio_bounds(table, j)
             up = hi[parent] * r_hi
             keep = up > x
             parent, j, stop = parent[keep], j[keep], stop[keep]

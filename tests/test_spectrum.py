@@ -240,6 +240,18 @@ class TestEnumerate:
         assert [(e.n, e.value) for e in evs] == expected
         assert all(type(e.n) is int and type(e.value) is float for e in evs)
 
+    def test_ties_rank_by_ascending_n(self):
+        # below-floor exponents leave many indices at exactly 0, so the
+        # ranking takes its stable fallback
+        table = build_table(P25, 3000, target_floor=1e-3)
+        vals = _lambda_values(table, 3000)[1:]
+        ns = np.arange(1, 3001)
+        assert np.count_nonzero(vals == 0.0) > 1
+        order = np.lexsort((ns, -vals))
+        evs = enumerate_spectrum(table, 3000)
+        assert np.array_equal(evs.n, ns[order])
+        assert evs.values.tobytes() == vals[order].tobytes()
+
     def test_entries_frozen_and_hashable(self, table_small):
         evs = enumerate_spectrum(table_small, 50)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -359,6 +371,30 @@ class TestCounting:
         r = counting_mu(table_small, t)
         assert r.mu == np.count_nonzero(sieve_small > 1.0 / t)
         assert r.mu_lo <= r.mu <= r.mu_hi
+
+    def test_search_bound_cached_per_table(self):
+        table = build_table(P25, 2000)
+        before = len(pickle.dumps(table))
+        first = counting_mu(table, 300.0)
+        assert "reach" in table.__dict__ and not table.reach.flags.writeable
+        assert counting_mu(table, 300.0) == first
+        back = pickle.loads(pickle.dumps(table))
+        assert "reach" not in back.__dict__
+        assert counting_mu(back, 300.0) == first
+        assert len(pickle.dumps(table)) == before
+
+    def test_search_bound_matches_row_loop(self, table_small):
+        # -reach[i] is the largest certified upper bound on a first ratio
+        # lambda_1 / lambda_0 over the rows from i on
+        t = table_small
+        best, want = 0.0, np.zeros(len(t))
+        for i in reversed(range(len(t))):
+            if t.lengths[i]:
+                l0, e = t.lambda0[i], t.tail_bounds[i] + spectrum._SOLVER_MARGIN
+                lamk = t.kept_ratios[t.offsets[i]] * l0
+                best = max(best, min((lamk + e) / (l0 - e), 1.0))
+            want[i] = -best
+        assert np.array_equal(t.reach, want)
 
     @pytest.mark.parametrize("p", [2003, 2011, 10_007, 1_000_003])
     def test_beyond_bounds_primes_above_p_max(self, p, table_small):
@@ -521,6 +557,14 @@ class TestFlatTable:
         assert not table.row_of.flags.writeable
         assert table.row_of.dtype == np.int32
 
+    def test_ranking_builds_no_row_index(self):
+        table = build_table(P25, 2000)
+        _lambda_values(table, 2000)
+        enumerate_spectrum(table, 2000)
+        assert "row_of" not in table.__dict__
+        lambda_of(6, table)
+        assert "row_of" in table.__dict__
+
     def test_pickles_after_first_use(self):
         table = build_table(P25, 2000)
         want = lambda_of(6, table).value
@@ -604,6 +648,14 @@ class TestFlatTable:
     @settings(max_examples=400, deadline=None)
     def test_lambda_values_equal_lambda_of(self, n, values_counting, table_counting):
         assert values_counting[n] == lambda_of(n, table_counting).value
+
+    @pytest.mark.parametrize("n_max", [1, 2000])
+    def test_lambda_values_equal_lambda_of_at_the_edges(self, n_max, table_small):
+        # n_max = 1 lists only the empty product; 2000 is table_small's p_max
+        vals = _lambda_values(table_small, n_max)
+        ref = [lambda_of(n, table_small).value for n in range(1, n_max + 1)]
+        assert vals.size == n_max + 1 and vals[0] == 0.0
+        assert vals[1:].tobytes() == np.array(ref).tobytes()
 
     def test_lambda_values_zero_below_floor(self):
         table = build_table(P25, 3000, target_floor=1e-3)
