@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import SpectralParams
 from .errors import EnumerationCapExceeded, FloorTooHigh
-from .spectrum import GlobalSpectrumTable
+from .spectrum import GlobalSpectrumTable, _fan_out
 
 __all__ = [
     "BeurlingSystem",
@@ -69,7 +69,8 @@ def beurling_integers(
 
     Level k holds the products of k generators as values v and the index j
     of each product's largest generator; level k + 1 multiplies each v by
-    every gens[j:] that keeps the product <= x.  So each multiset of
+    every gens[j:] that keeps the product <= x, the pairs listed by
+    spectrum._fan_out as for the lambda sieve.  So each multiset of
     generators is visited exactly once, and its product is formed in
     ascending generator order with one rounding per factor.  Distinct
     multisets whose products agree within 1e-12 relative are merged into
@@ -93,15 +94,12 @@ def beurling_integers(
     total = 1
     while v.size:
         hi = _admitted_end(gens, v, j, x)
-        counts = hi - j
-        total += int(counts.sum())
+        total += int((hi - j).sum())
         if total > max_count:
             raise EnumerationCapExceeded(
                 f"semigroup enumeration exceeded max_count={max_count} below x={x}"
             )
-        parent = np.repeat(np.arange(v.size), counts)
-        first = np.cumsum(counts) - counts
-        j = np.arange(parent.size) - first[parent] + j[parent]
+        parent, j = _fan_out(j, hi)
         v = v[parent] * gens[j]
         levels.append(v)
     values = np.sort(np.concatenate(levels))
@@ -126,16 +124,16 @@ def _admitted_end(gens, v, j, x) -> np.ndarray:
     """Per parent, the end hi >= j of the generators gens[j:hi] with v * g <= x.
 
     The rounded product v * g rises with g, so the admitted generators are
-    a prefix of gens[j:]; the quotient bound x / v can miss the end of that
-    prefix by a rounding, so it is moved until the product test agrees.
+    a prefix of gens[j:].  Its end is searched for below a widened
+    quotient and then only moved down until the product test agrees.  The
+    bound is safe: with u = 2^-53 (v, g and x / v are at least 1, so no
+    rounding underflows), fl(v g) <= x gives v g (1 - u) <= x, and
+    x / v <= fl(x / v) / (1 - u), so g <= fl(x / v) / (1 - u)^2, which is
+    below fl(x / v) (1 + 2^-50) (1 - u), itself at most the rounded
+    widened quotient.  The search overshoots only by the generators within
+    about 2^-50 relative of x / v.
     """
-    G = gens.size
-    hi = np.maximum(np.searchsorted(gens, x / v, side="right"), j)
-    up = np.flatnonzero(hi < G)
-    while up.size:
-        up = up[v[up] * gens[hi[up]] <= x]
-        hi[up] += 1
-        up = up[hi[up] < G]
+    hi = np.maximum(np.searchsorted(gens, x / v * (1 + 2**-50), side="right"), j)
     down = np.flatnonzero(hi > j)
     while down.size:
         down = down[v[down] * gens[hi[down] - 1] > x]

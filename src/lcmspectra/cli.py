@@ -7,8 +7,8 @@ significant digits so reruns with identical flags are byte-identical.
 
 Exit codes: 0 success; 2 invalid parameters (non-finite numbers, sizes
 out of range and values whose powers overflow double precision included)
-or an output file or cache directory that cannot be used; 3 certificate
-or coverage unavailable; 4 numerical failure.  Every failure prints one
+or an output file that cannot be written; 3 certificate or coverage
+unavailable; 4 numerical failure.  Every failure prints one
 "error:" line to stderr, never a traceback.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -57,8 +56,6 @@ from .toeplitz import (
     rescaled_singular_values,
     schatten_diff,
 )
-
-CACHE_ENV = "LCM_SPECTRA_CACHE_DIR"
 
 
 def _fmt(v) -> str:
@@ -105,20 +102,8 @@ def _write(out, text: str) -> None:
             fh.write(text)
 
 
-def _cache_dir() -> str | None:
-    d = os.environ.get(CACHE_ENV)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    return d or None
-
-
 def _table(args, p_max: int):
-    return build_table(
-        SpectralParams(args.sigma, args.tau),
-        p_max,
-        target_floor=args.floor,
-        cache_dir=_cache_dir(),
-    )
+    return build_table(SpectralParams(args.sigma, args.tau), p_max, target_floor=args.floor)
 
 
 # ---------------------------------------------------------------------------

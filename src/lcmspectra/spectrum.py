@@ -170,14 +170,15 @@ class GlobalSpectrumTable:
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
     length and owner[j] the row of kept_ratios[j].  Every array is
-    read-only.  Two values are computed once, on first use, and kept
-    read-only: row_of, the row of the least prime factor of every integer
-    up to p_max (4 bytes per integer: 3.8 MB at p_max = 10^6, 38 MB and
-    about 0.3 s at 10^7), which only lambda_of reads, so ranking, counting
-    and kappa never build it; and reach, the row bound of the counting
-    search, one float per prime.  Queries may run concurrently; if two
-    threads use a table for the first time at once, a value may be
-    computed twice, which does no harm.
+    read-only.  Three values are computed once, on first use, kept
+    read-only and left out of a pickle: row_of, the row of the least prime
+    factor of every integer up to p_max (4 bytes per integer: 3.8 MB at
+    p_max = 10^6, 38 MB and about 0.3 s at 10^7), which only lambda_of
+    reads, so ranking, counting and kappa never build it; reach, the row
+    bound of the counting search, one float per prime; and _views, the
+    memoryviews lambda_of reads its arrays through.  Queries may run
+    concurrently; if two threads use a table for the first time at once,
+    a value may be computed twice, which does no harm.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, and tail_exponent_bound a certified bound t_bound on the log

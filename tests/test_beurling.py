@@ -199,6 +199,17 @@ class TestAgainstHeap:
         )
         assert beurling_integers(BeurlingSystem(np.array(gens), P25), x).tolist() == want
 
+    def test_widened_end_moves_down_past_several_generators(self):
+        # 3 (1 + 2^-50) is six ulps above 3, so the search on the widened
+        # quotient x / 1 admits the next four floats above 3; each product
+        # with 1 exceeds x = 3 and the end must step back over all four
+        above = [3.0]
+        for _ in range(4):
+            above.append(np.nextafter(above[-1], np.inf))
+        gens = np.array([2.0] + above[1:])
+        assert np.searchsorted(gens, 3.0 * (1 + 2**-50), side="right") == 5
+        assert beurling_integers(BeurlingSystem(gens, P25), 3.0).tolist() == [1.0, 2.0]
+
     def test_cap_counts_multisets_before_merging(self):
         # 2^a 4^b <= 64 has 16 multisets but only 7 distinct values
         system = BeurlingSystem(np.array([2.0, 4.0]), P25)
