@@ -70,12 +70,12 @@ def beurling_integers(
     Level k holds the products of k generators as values v and the index j
     of each product's largest generator; level k + 1 multiplies each v by
     every gens[j:] that keeps the product <= x, the pairs listed by
-    spectrum._fan_out as for the lambda sieve.  So each multiset of
-    generators is visited exactly once, and its product is formed in
-    ascending generator order with one rounding per factor.  Distinct
-    multisets whose products agree within 1e-12 relative are merged into
-    one element (real generators in general position collide only by
-    numerical accident); merges are counted and logged.
+    spectrum._fan_out as in the search behind ranking and counting.  So
+    each multiset of generators is visited exactly once, and its product
+    is formed in ascending generator order with one rounding per factor.
+    Distinct multisets whose products agree within 1e-12 relative are
+    merged into one element (real generators in general position collide
+    only by numerical accident); merges are counted and logged.
 
     max_count caps the number of generator multisets, the empty one
     included, i.e. the products before merging; it is checked before each

@@ -43,13 +43,7 @@ from .local import (
     local_spectra,
     local_spectrum,
 )
-from .spectrum import (
-    _search,
-    build_table,
-    counting_mu,
-    enumerate_spectrum,
-    finite_section_eigs,
-)
+from .spectrum import build_table, counting_mu, enumerate_spectrum
 from .toeplitz import (
     build_toeplitz,
     gram_via_formula,
@@ -123,15 +117,16 @@ def cmd_local_eigs(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    # the base product needs primes well beyond nmax to converge
-    p_max = max(args.nmax, 10_000) if args.pmax is None else args.pmax
+    # the search reaches rank nmax from p_max of about 2 nmax at rho = 1
+    # and 4 nmax at rho = 1/2
+    p_max = max(10 * args.nmax, 10_000) if args.pmax is None else args.pmax
     table = _table(args, p_max)
     rho = table.params.rho
     ranked = enumerate_spectrum(table, args.nmax)
     pairs = zip(ranked.n.tolist(), ranked.values.tolist())
-    # Python scalars, so n**rho * lambda rounds exactly as it always has
-    rows = [[rank, n, value, n**rho * value] for rank, (n, value) in enumerate(pairs, 1)]
-    _emit(args, ["rank", "n", "lambda", "n_rho_lambda"], rows)
+    # rank^rho lambda tends to the constant of lambda_n ~ kappa n^-rho
+    rows = [[rank, n, value, rank**rho * value] for rank, (n, value) in enumerate(pairs, 1)]
+    _emit(args, ["rank", "n", "lambda", "rank_rho_lambda"], rows)
 
 
 def cmd_counting(args) -> None:
@@ -178,12 +173,7 @@ def cmd_toeplitz_compare(args) -> None:
     table = _table(args, args.pmax)
     top = min(args.top, args.n)
     rescaled = rescaled_singular_values(args.n, args.sigma, top)
-    # the top-th value v among the first indices seeds the threshold; every
-    # index whose value reaches v lies in the search set at (1 + 1e-12)/v
-    v = float(enumerate_spectrum(table, max(64, 4 * top)).values[top - 1])
-    if v == 0.0:
-        raise FloorTooHigh(f"lambda_n of rank {top} lies below the floor {table.floor}")
-    reference = np.sort(_search(table, (1.0 + 1e-12) / v)[0])[::-1][:top]
+    reference = enumerate_spectrum(table, top).values
     rows = []
     for rank, (sv, lam) in enumerate(zip(rescaled.tolist(), reference.tolist())):
         rows.append([rank + 1, sv, lam, sv / lam - 1.0])

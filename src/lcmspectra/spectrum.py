@@ -6,14 +6,14 @@ Lambda_0 = prod_p lambda_0(E_p).  This module builds the per-prime table,
 one flat row per prime, from the same solve and floor cut as
 local.local_spectrum, run over the ascending primes in bounded waves:
 contiguous slices of about _WAVE_ENTRY_SWEEPS / K^2 primes, each solved
-as one batch padded to its largest truncation order K.  Two queries list
-indices as ascending products of prime powers, so that neither factors
-an index: the lambda sieve, whose values enumerate_spectrum ranks into a
-RankedSpectrum, a read-only view over two arrays that builds a
-GlobalEigenvalue only for the entries a caller reads; and the search
-behind the counting function mu(t) = #{n : lambda_n > 1/t}, over a
-divisor-closed set of indices.  The module also cross-checks against
-dense finite sections.
+as one batch padded to its largest truncation order K.  One search lists
+indices, with their values, as ascending products of prime powers, so
+that no index is factored: a divisor-closed set that holds every n with
+lambda_n > 1/t.  The counting function mu(t) = #{n : lambda_n > 1/t}
+counts it, and enumerate_spectrum ranks the largest values of one search
+into a RankedSpectrum, a read-only view over two arrays that builds a
+GlobalEigenvalue only for the entries a caller reads.  The module also
+cross-checks against dense finite sections.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ _SOLVER_MARGIN = 1e-13
 # 10^6 within noise up to 2^19; only rho = 0.1 at 10^5 prefers larger
 # waves (0.353 s at 2^19, 0.306 s at 2^20)
 _WAVE_ENTRY_SWEEPS = 2**19
+
+# the largest index the search can carry in int64
+_INDEX_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,10 +178,10 @@ class GlobalSpectrumTable:
     factor of every integer up to p_max (4 bytes per integer: 3.8 MB at
     p_max = 10^6, 38 MB and about 0.3 s at 10^7), which only lambda_of
     reads, so ranking, counting and kappa never build it; reach, the row
-    bound of the counting search, one float per prime; and _views, the
-    memoryviews lambda_of reads its arrays through.  Queries may run
-    concurrently; if two threads use a table for the first time at once,
-    a value may be computed twice, which does no harm.
+    bound of the search behind ranking and counting, one float per prime;
+    and _views, the memoryviews lambda_of reads its arrays through.
+    Queries may run concurrently; if two threads use a table for the first
+    time at once, a value may be computed twice, which does no harm.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, and tail_exponent_bound a certified bound t_bound on the log
@@ -337,7 +340,7 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     While the cofactor of n exceeds p_max it is trial-divided by the
     table's primes; from there on each least prime factor is read from
     table.row_of.  The ratios are multiplied in ascending-prime order, as
-    in the lambda sieve and the counting search, and the smallest prime
+    in the search behind ranking and counting, and the smallest prime
     without a usable ratio raises.  The table's arrays are read through
     memoryviews that the table keeps (Python scalars, no copy).  n must be
     an integer (a float raises TypeError).
@@ -382,75 +385,6 @@ def _fan_out(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return parent, rows
 
 
-def _lambda_values(table: GlobalSpectrumTable, n_max: int) -> np.ndarray:
-    """values[n] = lambda_n for 1 <= n <= n_max; exponents below the floor
-    contribute 0 (kept total, never silently wrong).
-
-    The indices are listed as ascending products of prime powers, as in
-    _search: level L holds the n <= n_max with L distinct prime factors,
-    and each appends a later prime power p^k while n p^k <= n_max, its
-    value times the k-th ratio of p's row.  So Lambda_0 is multiplied by
-    the ratios in ascending-prime order, as in lambda_of, and the values
-    are bit-identical to it.  An index whose exponent runs past its row
-    keeps the value 0, and so do its multiples.  The cost grows with
-    n_max, not p_max, and no index is factored.
-    """
-    if n_max > table.p_max:
-        raise PrimeOutOfRange(
-            f"enumeration needs p_max >= n_max, got p_max={table.p_max} < {n_max}"
-        )
-    primes, owner, offsets, ratios = table.primes, table.owner, table.offsets, table.kept_ratios
-    vals = np.zeros(n_max + 1)
-    vals[1] = table.base_product
-    # rows_upto[q] is the number of the table's primes up to q
-    rows_upto = np.zeros(n_max + 1, dtype=np.int64)
-    rows_upto[primes[: np.searchsorted(primes, n_max, side="right")]] = 1
-    np.cumsum(rows_upto, out=rows_upto)
-    # level 0 is n = 1, the empty product
-    n, val, row = np.ones(1, dtype=np.int64), np.full(1, table.base_product), np.full(1, -1)
-    while n.size:
-        parent, rows = _fan_out(row + 1, rows_upto[n_max // n])
-        live = table.lengths[rows] > 0
-        parent, rows = parent[live], rows[live]
-        p, j, stop = primes[rows], offsets[rows], offsets[rows + 1]
-        m = n[parent] * p
-        levels = [(n[:0], val[:0], row[:0])]  # ends the expansion if no child is kept
-        while j.size:
-            v = val[parent] * ratios[j]
-            vals[m] = v
-            levels.append((m, v, owner[j]))
-            # the next power, while it is at most n_max and its ratio kept
-            j = j + 1
-            more = (m <= n_max // p) & (j < stop)
-            parent, p, j, stop, m = (a[more] for a in (parent, p, j, stop, m))
-            m = m * p
-        n, val, row = (np.concatenate(a) for a in zip(*levels))
-    return vals
-
-
-def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> RankedSpectrum:
-    """lambda_n for n = 1..n_max, sorted by value descending, ties by n.
-
-    Needs p_max >= n_max so that every index has its primes in the table,
-    and an integer n_max (a float raises TypeError).  The values come from
-    the lambda sieve, which builds them as products of prime powers and
-    factors no index.  They are ranked by the default sort, and again by a
-    stable one only when two neighbours in that order are equal, so ties
-    keep ascending n.  The result holds the ranked indices and values as
-    arrays and builds a GlobalEigenvalue only when an entry is read.
-    """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    vals = _lambda_values(table, n_max)[1:]
-    order = np.argsort(-vals)
-    ranked = vals[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(-vals, kind="stable")
-        ranked = vals[order]
-    return RankedSpectrum((order + 1).astype(np.int64, copy=False), ranked)
-
-
 def _ratio_bounds(table: GlobalSpectrumTable, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower bounds on the true ratios of the kept ratios j."""
     i = table.owner[j]
@@ -460,17 +394,21 @@ def _ratio_bounds(table: GlobalSpectrumTable, j: np.ndarray) -> tuple[np.ndarray
     return np.minimum((lamk + e) / (l0 - e), 1.0), np.maximum(lamk - e, 0.0) / (l0 + e)
 
 
-def _search(table: GlobalSpectrumTable, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Point and certified lower values of lambda_n over S_hi, and the margin.
+def _search(
+    table: GlobalSpectrumTable, t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Indices, point values and certified lower values of lambda_n over
+    S_hi, and the margin.
 
     S_hi holds the n whose certified upper value, prefactor times one
     ratio bound r_hi <= 1 per prime power, exceeds 1/t.  r_hi falls with
     the exponent, so S_hi is closed under divisors: level L holds its n
     with L distinct prime factors, and each appends a later prime p^k
-    while hi * r_hi(p^k) > x = 1/(t prefactor).  Primes are appended in
-    ascending order, so a point value is bit-identical to lambda_of and
-    the lambda sieve.  Every other index has a factor below
-    max(cap, beyond), so x must exceed it; the margin is their quotient.
+    while hi * r_hi(p^k) > x = 1/(t prefactor), its index one int64
+    product per power.  Primes are appended in ascending order, so a
+    point value is bit-identical to lambda_of.  Every other index has a
+    factor below max(cap, beyond), so x must exceed it; the margin is
+    their quotient.  An index past 2^63 - 1 raises EnumerationInfeasible.
     """
     env = table.envelope()
     if not math.isfinite(env.prefactor):
@@ -485,31 +423,36 @@ def _search(table: GlobalSpectrumTable, t: float) -> tuple[np.ndarray, np.ndarra
             f" is not above the cap {env.cap:.3g} on unkept ratios or the bound"
             f" {env.beyond:.3g} on primes above p_max={table.p_max}"
         )
-    owner, offsets, ratios, reach = table.owner, table.offsets, table.kept_ratios, table.reach
+    primes, owner, offsets, ratios = table.primes, table.owner, table.offsets, table.kept_ratios
+    reach = table.reach
     # level 0 is n = 1, the empty product
     hi, row = np.ones(int(1.0 > x)), np.full(int(1.0 > x), -1)
+    n = np.ones(hi.size, dtype=np.int64)
     val = lo = np.full(hi.size, table.base_product)
-    found = [(val, lo)]
+    found = [(n, val, lo)]
     while hi.size:
         # fl(hi * r) > x implies r >= fl(x / hi), so this end widens the
         # rows to try; the product test below decides membership
         end = np.searchsorted(reach, -(x / hi), side="right")
         parent, rows = _fan_out(row + 1, end)
-        j, stop = offsets[rows], offsets[rows + 1]
-        levels = [(hi[:0], val[:0], lo[:0], row[:0])]  # ends the search if none qualifies
+        j, stop, p, m = offsets[rows], offsets[rows + 1], primes[rows], n[parent]
+        levels = [(n[:0], hi[:0], val[:0], lo[:0], row[:0])]  # ends the search if none qualifies
         while j.size:
             live = j < stop
-            parent, j, stop = parent[live], j[live], stop[live]
+            parent, j, stop, p, m = (a[live] for a in (parent, j, stop, p, m))
             r_hi, r_lo = _ratio_bounds(table, j)
             up = hi[parent] * r_hi
             keep = up > x
-            parent, j, stop = parent[keep], j[keep], stop[keep]
-            levels.append((up[keep], val[parent] * ratios[j], lo[parent] * r_lo[keep], owner[j]))
+            parent, j, stop, p, m = (a[keep] for a in (parent, j, stop, p, m))
+            if m.size and int(m.max()) * int(p.max()) > _INDEX_MAX and np.any(m > _INDEX_MAX // p):
+                raise EnumerationInfeasible(f"an index past {_INDEX_MAX} lies in the search set")
+            m = m * p
+            levels.append((m, up[keep], val[parent] * ratios[j], lo[parent] * r_lo[keep], owner[j]))
             j = j + 1
-        hi, val, lo, row = (np.concatenate(a) for a in zip(*levels))
-        found.append((val, lo))
-    values, lower = (np.concatenate(a) for a in zip(*found))
-    return values, lower, x / bound
+        n, hi, val, lo, row = (np.concatenate(a) for a in zip(*levels))
+        found.append((n, val, lo))
+    n, values, lower = (np.concatenate(a) for a in zip(*found))
+    return n, values, lower, x / bound
 
 
 def counting_mu(table: GlobalSpectrumTable, t: float) -> CountingResult:
@@ -519,9 +462,63 @@ def counting_mu(table: GlobalSpectrumTable, t: float) -> CountingResult:
     """
     if not (0.0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
-    values, lower, margin = _search(table, t)
+    _, values, lower, margin = _search(table, t)
     mu, mu_lo = (int(np.count_nonzero(v > 1.0 / t)) for v in (values, lower))
     return CountingResult(float(t), mu, mu_lo, values.size, margin)
+
+
+def enumerate_spectrum(table: GlobalSpectrumTable, n_max: int) -> RankedSpectrum:
+    """The n_max largest eigenvalues lambda_n, by value descending, ties
+    by ascending n.
+
+    They are the n_max largest point values of one _search whose 1/t lies
+    at or below lambda at rank n_max; every index it leaves out has a
+    value at most 1/t.  t starts at the scale of lambda_1 = Lambda_0,
+    (n_max / 64)^rho / Lambda_0, and each retry scales it by the law
+    mu(t) ~ t^(1/rho), with 2% slack and a step of at least 1.05, up to
+    the coverage edge 1/(prefactor max(cap, beyond)).  Fewer than n_max
+    values above 1/t at that edge raise EnumerationInfeasible, naming the
+    bound that binds.  The top n_max are picked by argpartition and
+    sorted by the default sort; only when a value ties, among them or at
+    rank n_max, are they ranked by a lexsort on (-value, n).  n_max must
+    be an integer (a float raises TypeError).  The result holds the
+    ranked indices and values as arrays and builds a GlobalEigenvalue
+    only when an entry is read.
+    """
+    n_max = _integer(n_max, "n_max")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    env = table.envelope()
+    rho = table.params.rho
+    # the largest t whose 1/(t prefactor) clears max(cap, beyond) despite
+    # rounding; an uncertified table gives 0, which _search refuses
+    t_edge = (1.0 - 1e-12) / (env.prefactor * max(env.cap, env.beyond))
+    t = min((n_max / 64) ** rho / table.base_product, t_edge)
+    while True:
+        n, values, _, _ = _search(table, t)
+        count = int(np.count_nonzero(values > 1.0 / t))
+        if count >= n_max:
+            break
+        if t == t_edge:
+            binds = (
+                f"the cap {env.cap:.3g} on the ratios below the floor {table.floor:.3g}"
+                if env.cap >= env.beyond
+                else f"the bound {env.beyond:.3g} on primes above p_max={table.p_max}"
+            )
+            raise EnumerationInfeasible(
+                f"the search at the coverage edge lists {count} of the n_max = {n_max}"
+                f" values needed above 1/t = {1.0 / t:.3g}; {binds} stops it"
+            )
+        t = min(t * max(1.05, 1.02 * (n_max / max(count, 1)) ** rho), t_edge)
+    neg = -values
+    top = np.argpartition(neg, n_max - 1)[:n_max]
+    top = top[np.argsort(neg[top])]
+    ranked = values[top]
+    # a tie among the top n_max, or between rank n_max and the rest
+    if np.any(ranked[1:] == ranked[:-1]) or np.count_nonzero(values >= ranked[-1]) > n_max:
+        top = np.lexsort((n, neg))[:n_max]
+        ranked = values[top]
+    return RankedSpectrum(n[top], ranked)
 
 
 def _entries(params: SpectralParams, ell: np.ndarray) -> np.ndarray:

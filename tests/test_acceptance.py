@@ -88,6 +88,31 @@ class TestCriterion3Counting:
         )
 
 
+class TestMainTheoremByRank:
+    """lambda_n = kappa n^-rho + o(n^-rho), with lambda_n the n-th largest
+    eigenvalue: R^rho lambda_R and the median of r^rho lambda_r over
+    r in [R/2, R] against kappa."""
+
+    @pytest.mark.parametrize("sigma, tau", [(0.25, 1.0), (0.25, 1.5)])
+    def test_rank_scaled_eigenvalues_approach_kappa(self, sigma, tau):
+        params = SpectralParams(sigma, tau)
+        rho = params.rho
+        # computed inline: kappa_closed_form still returns the reciprocal
+        # g(1/rho)^(-rho) (ROADMAP item 1); the limit is 1 at rho = 1
+        kappa = 1.0 if rho == 1.0 else zeta_real(1.5) / math.sqrt(zeta_real(3.0))
+        values = enumerate_spectrum(build_table(params, 1_000_000), 100_000).values
+        worst = 0.0
+        for R in (10_000, 100_000):
+            scaled = np.arange(1, R + 1) ** rho * values[:R]
+            for got in (scaled[-1], np.median(scaled[R // 2 - 1 :])):
+                worst = max(worst, abs(got / kappa - 1.0))
+        assert report(
+            f"main theorem by rank at ({sigma}, {tau}): r^rho lambda_r within 1e-3 of kappa",
+            worst <= 1e-3,
+            f"kappa={kappa:.6f}, worst relative deviation {worst:.2e} at R = 10^4, 10^5",
+        )
+
+
 class TestCriterion4FiniteSections:
     def test_c4_product_formula_vs_finite_sections(self, table_counting):
         product_top5 = np.array(

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from lcmspectra import (
+    FloorTooHigh,
     SpectralParams,
     build_table,
     count_integers,
-    enumerate_spectrum,
     gram_via_formula,
+    lambda_of,
     local,
     system_from_spectra,
 )
@@ -24,6 +25,19 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _top_values(table, n_max, top):
+    """The top largest lambda_n over n <= n_max, from lambda_of, which
+    factors each index; an index with an exponent below the floor is
+    left out."""
+    values = []
+    for n in range(1, n_max + 1):
+        try:
+            values.append(lambda_of(n, table).value)
+        except FloorTooHigh:
+            pass
+    return sorted(values, reverse=True)[:top]
 
 
 class TestLocalEigs:
@@ -92,12 +106,24 @@ class TestSpectrum:
         )
         assert code == 0
         lines = path.read_text().splitlines()
-        assert lines[1] == "rank,n,lambda,n_rho_lambda"
+        assert lines[1] == "rank,n,lambda,rank_rho_lambda"
         rows = [l.split(",") for l in lines[2:]]
         assert [int(r[0]) for r in rows] == list(range(1, 51))
         assert int(rows[0][1]) == 1
         lams = [float(r[2]) for r in rows]
         assert all(a >= b for a, b in zip(lams, lams[1:]))
+
+    def test_readme_example_exits_zero(self, capsys, tmp_path):
+        # the README's spectrum line, run at the default --pmax
+        section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        line = re.search(r"^lcm-spectra (spectrum .*)$", section, re.M).group(1)
+        path = tmp_path / "readme.csv"
+        code, _, err = run(shlex.split(line) + ["--out", str(path)], capsys)
+        assert (code, err) == (0, "")
+        rows = [l.split(",") for l in path.read_text().splitlines()[2:]]
+        assert len(rows) == 10_000 and len({r[1] for r in rows}) == 10_000
+        # rank * lambda at rank 10^4 lies near kappa = 1
+        assert abs(float(rows[-1][3]) - 1.0) < 1e-3
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -235,7 +261,7 @@ class TestOtherCommands:
         assert code == 0
         got = [float(l.split(",")[2]) for l in out.splitlines()[2:]]
         table = build_table(SpectralParams(0.4, 1.0), 100_000)
-        assert got == [e.value for e in enumerate_spectrum(table, 100_000)[:100]]
+        assert got == _top_values(table, 100_000, 100)
 
 
 class TestVerify:
@@ -275,13 +301,14 @@ class TestExitCodes:
         assert "certificate" in err
 
     def test_spectrum_pmax_below_nmax_is_three(self, capsys):
+        # rank 30 lies below what the bound on primes above p_max = 5 admits
         code, out, err = run(
             ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "30", "--pmax", "5"],
             capsys,
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: certificate unavailable")
-        assert "p_max >= n_max" in err
+        assert "of the n_max = 30 values" in err and "primes above p_max=5" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -321,7 +348,7 @@ class TestExitCodes:
         assert code == 0
         got = [float(l.split(",")[2]) for l in out.splitlines()[2:]]
         table = build_table(SpectralParams(0.25, 1.0), 2000, target_floor=0.01)
-        assert got == [e.value for e in enumerate_spectrum(table, 2000)[:3]]
+        assert got == _top_values(table, 2000, 3)
 
     def test_spectrum_pmax_error_names_value(self, capsys):
         code, _, err = run(

@@ -43,7 +43,6 @@ from lcmspectra.local import (
 from lcmspectra.spectrum import (
     _HEADER,
     _cache_path,
-    _lambda_values,
     _product_tail_bound,
 )
 
@@ -116,6 +115,21 @@ def _lambda_of_factorize(n, table):
 
 def _lambda_value(n, table):
     return lambda_of(n, table).value
+
+
+def _oracle(table, n_max):
+    """lambda_n for n = 1..n_max through lambda_of, the scalar path that
+    factors each index (checked against factorize in TestLambdaOf), so it
+    shares no listing with the search."""
+    return np.array([lambda_of(n, table).value for n in range(1, n_max + 1)])
+
+
+def _oracle_ranked(table, n_max, top):
+    """The indices and values of the top largest of _oracle(table, n_max),
+    by value descending, ties by ascending n."""
+    vals = _oracle(table, n_max)
+    order = np.lexsort((np.arange(1, n_max + 1), -vals))[:top]
+    return order + 1, vals[order]
 
 
 def _outcome(f, n, table):
@@ -205,6 +219,7 @@ class TestEnumerate:
         evs = enumerate_spectrum(table_small, 100)
         assert evs[0].n == 1
         assert evs[0].value == table_small.base_product
+        assert list(enumerate_spectrum(table_small, 1)) == [evs[0]]
 
     def test_descending_and_positive(self, table_small):
         vals = [e.value for e in enumerate_spectrum(table_small, 1000)]
@@ -214,7 +229,7 @@ class TestEnumerate:
     def test_exactly_n_max_entries(self, table_small):
         evs = enumerate_spectrum(table_small, 321)
         assert len(evs) == 321
-        assert sorted(e.n for e in evs) == list(range(1, 322))
+        assert len(set(evs.n.tolist())) == 321
 
     def test_ten_thousand_entries_bounded(self, table_counting):
         vals = np.array([e.value for e in enumerate_spectrum(table_counting, 10_000)])
@@ -222,35 +237,40 @@ class TestEnumerate:
         assert np.all(vals <= table_counting.base_product)
 
     def test_needs_coverage(self, table_small):
-        with pytest.raises(PrimeOutOfRange):
+        # the search at table_small's coverage edge lists 1324 values above 1/t
+        match = r"lists 1324 of the n_max = 5000 values .*; the bound .* on primes above p_max=2000"
+        with pytest.raises(EnumerationInfeasible, match=match):
             enumerate_spectrum(table_small, 5000)
 
     def test_matches_lambda_of(self, table_small):
-        evs = {e.n: e.value for e in enumerate_spectrum(table_small, 200)}
-        for n in (1, 2, 17, 60, 128, 199):
-            assert evs[n] == pytest.approx(lambda_of(n, table_small).value, rel=1e-13)
+        for e in enumerate_spectrum(table_small, 200):
+            assert e.value == lambda_of(e.n, table_small).value
 
     def test_bit_identical_to_sieve_order(self, table_small):
-        # the formula the enumeration had before it stopped factoring each n
-        n_max = 2000
-        vals = _lambda_values(table_small, n_max)[1:]
-        ns = np.arange(1, n_max + 1)
-        expected = [(int(ns[i]), float(vals[i])) for i in np.lexsort((ns, -vals))]
-        evs = enumerate_spectrum(table_small, n_max)
-        assert [(e.n, e.value) for e in evs] == expected
+        # lambda_of over every n <= p_max, ranked by lexsort; the search at
+        # table_small's coverage edge lists no index above p_max
+        n, vals = _oracle_ranked(table_small, 2000, 1000)
+        evs = enumerate_spectrum(table_small, 1000)
+        assert [(e.n, e.value) for e in evs] == list(zip(n.tolist(), vals.tolist()))
         assert all(type(e.n) is int and type(e.value) is float for e in evs)
 
-    def test_ties_rank_by_ascending_n(self):
-        # below-floor exponents leave many indices at exactly 0, so the
-        # ranking takes its stable fallback
-        table = build_table(P25, 3000, target_floor=1e-3)
-        vals = _lambda_values(table, 3000)[1:]
-        ns = np.arange(1, 3001)
-        assert np.count_nonzero(vals == 0.0) > 1
-        order = np.lexsort((ns, -vals))
-        evs = enumerate_spectrum(table, 3000)
-        assert np.array_equal(evs.n, ns[order])
-        assert evs.values.tobytes() == vals[order].tobytes()
+    def test_ties_rank_by_ascending_n(self, table_small):
+        # a table whose first ratio for p = 7 equals the second for p = 2,
+        # so lambda_(4m) = lambda_(7m) to the bit for m prime to 14: lambda_4
+        # and lambda_7 tie across rank 5, where the search lists 7 first,
+        # and ties run throughout
+        t = table_small
+        ratios = t.kept_ratios.copy()
+        ratios[t.offsets[3]] = ratios[t.offsets[0] + 1]
+        tied = spectrum.GlobalSpectrumTable(
+            t.params, t.p_max, t.floor, t.primes, t.lambda0, t.offsets, ratios
+        )
+        n, vals = _oracle_ranked(tied, 2000, 300)
+        assert n[4:6].tolist() == [4, 7] and vals[4] == vals[5]
+        for top in (5, 6, 300):
+            evs = enumerate_spectrum(tied, top)
+            assert np.array_equal(evs.n, n[:top])
+            assert evs.values.tobytes() == vals[:top].tobytes()
 
     def test_entries_frozen_and_hashable(self, table_small):
         evs = enumerate_spectrum(table_small, 50)
@@ -303,6 +323,13 @@ class TestEnumerate:
         evs[-1]
         assert len(built) == 6
 
+    def test_refuses_an_index_past_the_int64_range(self, table_small, monkeypatch):
+        # the guard, tried at a small limit: n = 1009 lies among the top 1000
+        monkeypatch.setattr(spectrum, "_INDEX_MAX", 1000)
+        assert enumerate_spectrum(table_small, 10).n.max() <= 1000
+        with pytest.raises(EnumerationInfeasible, match="an index past 1000"):
+            enumerate_spectrum(table_small, 1000)
+
     @pytest.mark.parametrize("n_max", [300, np.int64(300), np.int32(300)])
     def test_accepts_python_and_numpy_integers(self, n_max, table_small):
         evs = enumerate_spectrum(table_small, n_max)
@@ -331,8 +358,8 @@ class TestCounting:
     def test_matches_direct_enumeration(self, table_small):
         t = 200.0
         r = counting_mu(table_small, t)
-        vals = np.array([e.value for e in enumerate_spectrum(table_small, 2000)])
-        assert r.mu == int((vals > 1.0 / t).sum())
+        vals = np.array([e.value for e in enumerate_spectrum(table_small, 1000)])
+        assert vals[-1] <= 1.0 / t and r.mu == int((vals > 1.0 / t).sum())
 
     def test_rank_consistency(self, table_counting):
         evs = enumerate_spectrum(table_counting, 500)
@@ -355,11 +382,11 @@ class TestCounting:
 
     def test_search_equals_sieve_at_rho_half(self, table_half_1e6):
         # every n with lambda_n > 1/200 at (1/4, 1) is at most p_max = 10^6,
-        # so the sieve over n <= p_max is the reference
+        # so lambda_of over n <= p_max is the reference
         t = 200.0
         r = counting_mu(table_half_1e6, t)
-        sieve = _lambda_values(table_half_1e6, 10**6)[1:]
-        assert r.mu == np.count_nonzero(sieve > 1.0 / t) == 227_035
+        ref = _oracle(table_half_1e6, 10**6)
+        assert r.mu == np.count_nonzero(ref > 1.0 / t) == 227_035
         assert r.mu_lo <= r.mu <= r.mu_hi and r.margin > 1.0
         with pytest.raises(EnumerationInfeasible):
             counting_mu(table_half_1e6, 1000.0)
@@ -421,7 +448,7 @@ def table_half_1e6():
 
 @pytest.fixture(scope="module")
 def sieve_small(table_small):
-    return _lambda_values(table_small, 2000)[1:]
+    return _oracle(table_small, 2000)
 
 
 class TestFiniteSections:
@@ -473,9 +500,8 @@ class TestFiniteSections:
 class TestScalingLaw:
     def test_running_median_approaches_kappa(self, table_counting):
         # rank * lambda_(rank) has running median over [N/2, N] tending to
-        # kappa = 1; ranks need the sorted sequence of the whole spectrum,
-        # so enumerate far beyond the largest window
-        sorted_vals = np.sort(_lambda_values(table_counting, 100_000)[1:])[::-1]
+        # kappa = 1
+        sorted_vals = enumerate_spectrum(table_counting, 10_000).values
         devs = []
         for N in (500, 2000, 10_000):
             ranks = np.arange(1, N + 1, dtype=float)
@@ -526,7 +552,7 @@ def table_half():
 
 @pytest.fixture(scope="module")
 def values_counting(table_counting):
-    return _lambda_values(table_counting, 100_000)
+    return enumerate_spectrum(table_counting, 50_000)
 
 
 class TestFlatTable:
@@ -559,8 +585,7 @@ class TestFlatTable:
 
     def test_ranking_builds_no_row_index(self):
         table = build_table(P25, 2000)
-        _lambda_values(table, 2000)
-        enumerate_spectrum(table, 2000)
+        enumerate_spectrum(table, 1000)
         assert "row_of" not in table.__dict__
         lambda_of(6, table)
         assert "row_of" in table.__dict__
@@ -641,34 +666,15 @@ class TestFlatTable:
         np.testing.assert_allclose(comp.g_factors, ref, rtol=1e-13, atol=0)
 
     def test_lambda_values_equal_lambda_of_up_to_2e4(self, values_counting, table_counting):
-        ref = [lambda_of(n, table_counting).value for n in range(1, 20_001)]
-        assert np.array_equal(values_counting[1:20_001], ref)
+        # the first 2 * 10^4 ranked values against lambda_of of their indices
+        ref = [lambda_of(n, table_counting).value for n in values_counting.n[:20_000].tolist()]
+        assert np.array_equal(values_counting.values[:20_000], ref)
 
-    @given(n=st.integers(1, 100_000))
+    @given(rank=st.integers(1, 50_000))
     @settings(max_examples=400, deadline=None)
-    def test_lambda_values_equal_lambda_of(self, n, values_counting, table_counting):
-        assert values_counting[n] == lambda_of(n, table_counting).value
-
-    @pytest.mark.parametrize("n_max", [1, 2000])
-    def test_lambda_values_equal_lambda_of_at_the_edges(self, n_max, table_small):
-        # n_max = 1 lists only the empty product; 2000 is table_small's p_max
-        vals = _lambda_values(table_small, n_max)
-        ref = [lambda_of(n, table_small).value for n in range(1, n_max + 1)]
-        assert vals.size == n_max + 1 and vals[0] == 0.0
-        assert vals[1:].tobytes() == np.array(ref).tobytes()
-
-    def test_lambda_values_zero_below_floor(self):
-        table = build_table(P25, 3000, target_floor=1e-3)
-        n = 7 ** (int(table.lengths[3]) + 1)  # lambda_k(E_7) < floor; 7 is row 3
-        vals = _lambda_values(table, 3000)
-        assert n <= 3000 and vals[n] == 0.0
-        with pytest.raises(FloorTooHigh):
-            lambda_of(n, table)
-        assert vals[7 * 11] == lambda_of(7 * 11, table).value
-
-    def test_lambda_values_need_coverage(self, table_small):
-        with pytest.raises(PrimeOutOfRange):
-            _lambda_values(table_small, 2003)
+    def test_lambda_values_equal_lambda_of(self, rank, values_counting, table_counting):
+        e = values_counting[rank - 1]
+        assert e.value == lambda_of(e.n, table_counting).value
 
 
 def _cache_file(directory, p_max=500, floor=1e-8):
