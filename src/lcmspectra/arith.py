@@ -162,6 +162,37 @@ def lcm_grid(M: int) -> np.ndarray:
     return g
 
 
+def _exact_sum(r: np.ndarray) -> float:
+    """math.fsum(r), to the bit, for a 1-D float64 array r, which it
+    overwrites.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008, ExtractVector): with
+    every |r_i| < 2^e and n < 2^M entries, sigma = 2^(e + M) splits r_i
+    into q_i = (sigma + r_i) - sigma and r_i - q_i, both exact, and the
+    q_i sum exactly in any order.  Repeating on what is left until it is
+    zero gives a few exact partial sums, whose math.fsum is the correctly
+    rounded total, as math.fsum(r) is.  Input that is all zero or not
+    finite, or whose sigma would overflow, goes to math.fsum itself, so
+    the results and the exceptions are those of math.fsum.
+    """
+    q = np.empty_like(r)
+    M = r.size.bit_length()
+    parts = []
+    while True:
+        top = float(np.abs(r, out=q).max(initial=0.0))
+        e = math.frexp(top)[1] + M
+        if not parts and not (0.0 < top < math.inf and e <= 1023):
+            return math.fsum(r)
+        if top == 0.0:
+            return math.fsum(parts)
+        sigma = math.ldexp(1.0, e)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        parts.append(float(q.sum()))
+
+
 # length of the partial sum in zeta_real
 _ZETA_CUTOFF = 10_000
 
@@ -175,7 +206,7 @@ def zeta_real(s: float) -> float:
     if s <= 1.0:
         raise InvalidRegime("zeta_real requires s > 1")
     M = _ZETA_CUTOFF
-    head = math.fsum(np.arange(1, M + 1, dtype=float) ** (-s))
+    head = _exact_sum(np.arange(1, M + 1, dtype=float) ** (-s))
     mf = float(M)
     tail = mf ** (1.0 - s) / (s - 1.0) - 0.5 * mf ** (-s)
     tail += s * mf ** (-s - 1.0) / 12.0

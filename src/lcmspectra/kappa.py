@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpectralParams, factorize, zeta_real
+from .arith import SpectralParams, _exact_sum, factorize, zeta_real
 from .errors import InvalidRegime, NoClosedForm
 from .local import DEFAULT_FLOOR, LocalSpectrum, local_spectrum
 from .spectrum import GlobalSpectrumTable
@@ -119,6 +119,8 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     identity), G = 2 p^-(1 + 2 sigma) at rho = 1/2 (the leading term of the
     closed g_p(2)), and log g_p - G(p) = O(p^-min(2 tau + 2 rho, 1 + 2 tau)).
     tail, the sum of G over p > p_max, is exact through the prime zeta function.
+    The sum of log g_p over the table's primes is correctly rounded
+    (arith._exact_sum, the same bits as math.fsum).
 
     The table must have been built for params.
     """
@@ -135,7 +137,7 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
         raise InvalidRegime("non-positive Euler factor; spectra unavailable")
 
     tail = _euler_tail(params, primes, table.p_max)
-    kappa = math.exp(-params.rho * (math.fsum(np.log(g)) + tail))
+    kappa = math.exp(-params.rho * (_exact_sum(np.log(g)) + tail))
     return KappaComputation(params, s, table.p_max, g, kappa, tail)
 
 

@@ -82,8 +82,7 @@ def truncation_order(p, params: SpectralParams, target_floor: float):
     """
     if not (0.0 < target_floor < 1.0):
         raise ValueError("target_floor must lie in (0, 1)")
-    # no float copy of p outlives its use: the table constructor calls this
-    # at build_table's memory peak
+    # no float copy of p outlives its use
     _check_blocks(np.asarray(p, dtype=float), params)
     logp = np.log(np.asarray(p, dtype=float))
     K = np.ceil(math.log(target_floor / 10.0) / (-params.rho * logp)).astype(np.int64)
@@ -174,6 +173,13 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     at K >= 3 (truncation orders are never below 3), while at K = 2 the
     last bit of an eigenvalue can still move.
 
+    The eigenvalues are the reciprocals of the final q.  dqd leaves them
+    rising along the positions, but the stopping test bounds the
+    off-diagonal, not the order of the diagonal.  So when the batch has
+    no padding and every row does rise, the rows are returned reversed,
+    which is exactly their descending sort and makes no copy; otherwise
+    they are sorted.
+
     Vectorises over p: an array of bases gives shape p.shape + (K_top,).
     Raises ValueError for a base that is not a finite p > 1 or an order
     below 1, and InvalidRegime unless rho is finite and positive and
@@ -242,11 +248,11 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
             f"dqd failed to converge within {max_sweeps} sweeps at K={K}, smallest base "
             f"p={float(p.min()):.17g}, {logp.size} bases in the batch"
         )
-    del d, e  # freed before the sort copies q
+    del d, e  # freed before a sort copies q
     lam = np.divide(1.0, q[:K], out=q[:K])
+    if not pad.any() and np.all(lam[:-1] <= lam[1:]):
+        return lam[::-1].T.reshape(p.shape + (K,))
     np.copyto(lam, 0.0, where=pad)
-    # the stopping test bounds the off-diagonal, not the order of the
-    # diagonal, so sort rather than reverse
     return np.sort(lam.T, axis=1)[:, ::-1].reshape(p.shape + (K,))
 
 

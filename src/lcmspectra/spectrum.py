@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpectralParams, _integer, lcm_grid, primes_up_to
+from .arith import SpectralParams, _exact_sum, _integer, lcm_grid, primes_up_to
 from .errors import (
     CertificateUnavailable,
     EnumerationInfeasible,
@@ -172,7 +172,9 @@ class GlobalSpectrumTable:
     prime, ascending) owns kept_ratios[offsets[i]:offsets[i + 1]], the
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
-    length and owner[j] the row of kept_ratios[j].  Every array is
+    length, owner[j] the row of kept_ratios[j] and trunc_orders[i] the
+    order the row was solved at, as build_table computed it, or as
+    load_table computes it from the primes it read.  Every array is
     read-only.  Three values are computed once, on first use, kept
     read-only and left out of a pickle: row_of, the row of the least prime
     factor of every integer up to p_max (4 bytes per integer: 3.8 MB at
@@ -184,14 +186,17 @@ class GlobalSpectrumTable:
     time at once, a value may be computed twice, which does no harm.
 
     base_product is Lambda_0, the product of lambda0 over the table's
-    primes, and tail_exponent_bound a certified bound t_bound on the log
-    of the remaining infinite tail, so the full product lies in
-    [Lambda_0, Lambda_0 exp(t_bound)].  In weakly decaying regimes a small
-    p_max admits no certificate; t_bound is then inf and only
-    tail-certified queries fail.
+    primes, as exp of the correctly rounded sum of their logs
+    (arith._exact_sum, the same bits as math.fsum); tail_exponent_bound
+    is a certified bound t_bound on the log of the remaining infinite
+    tail, so the full product lies in [Lambda_0, Lambda_0 exp(t_bound)].
+    In weakly decaying regimes a small p_max admits no certificate;
+    t_bound is then inf and only tail-certified queries fail.
     """
 
-    def __init__(self, params, p_max, floor, primes, lambda0, offsets, kept_ratios):
+    def __init__(
+        self, params, p_max, floor, primes, lambda0, offsets, kept_ratios, trunc_orders
+    ):
         self.params = params
         self.p_max = int(p_max)
         self.floor = float(floor)
@@ -199,7 +204,7 @@ class GlobalSpectrumTable:
         self.lambda0 = lambda0
         self.offsets = offsets
         self.kept_ratios = kept_ratios
-        self.trunc_orders = truncation_order(primes, params, self.floor)
+        self.trunc_orders = trunc_orders
         self.tail_bounds = truncation_tail_bound(
             primes.astype(float), params, self.trunc_orders.astype(float)
         )
@@ -208,7 +213,7 @@ class GlobalSpectrumTable:
         for a in (primes, lambda0, offsets, kept_ratios, self.trunc_orders,
                   self.tail_bounds, self.lengths, self.owner):
             a.setflags(write=False)
-        self.base_product = math.exp(math.fsum(np.log(self.lambda0)))
+        self.base_product = math.exp(_exact_sum(np.log(self.lambda0)))
         try:
             self.tail_exponent_bound = _product_tail_bound(params, self.p_max)
         except CertificateUnavailable:
@@ -327,7 +332,7 @@ def build_table(
         lo = hi
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     table = GlobalSpectrumTable(
-        params, p_max, target_floor, primes, lambda0, offsets, np.concatenate(parts)
+        params, p_max, target_floor, primes, lambda0, offsets, np.concatenate(parts), orders
     )
     if cache_path:
         save_table(table, cache_path)
@@ -620,6 +625,8 @@ def load_table(path) -> GlobalSpectrumTable | None:
         return None
     ints = np.frombuffer(raw, "<i8", count=2 * P + 1, offset=_HEADER.size)
     floats = np.frombuffer(raw, "<f8", count=P + R, offset=_HEADER.size + 8 * ints.size)
+    params, primes = SpectralParams(sigma, tau), ints[:P]
+    orders = truncation_order(primes, params, floor)
     return GlobalSpectrumTable(
-        SpectralParams(sigma, tau), p_max, floor, ints[:P], floats[:P], ints[P:], floats[P:]
+        params, p_max, floor, primes, floats[:P], ints[P:], floats[P:], orders
     )

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from lcmspectra import (
     InvalidRegime,
     SpectralParams,
+    build_table,
     entry_matrix,
     factorize,
     lcm_grid,
     primes_up_to,
     zeta_real,
 )
+from lcmspectra.arith import _exact_sum
 from lcmspectra.toeplitz import _power_sums
 
 
@@ -240,7 +242,118 @@ class TestZeta:
             with pytest.raises(InvalidRegime):
                 zeta_real(s)
 
+    # bits of the partial sum taken by math.fsum; a plain np.sum moves the
+    # last bit at s = 1.05 and s = 3
+    @pytest.mark.parametrize(
+        "s, bits",
+        [(1.05, "0x1.494b23651511ap+4"), (1.5, "0x1.4e6250bfbd89ep+1"),
+         (3.0, "0x1.33ba004f00621p+0"), (10.0, "0x1.00412e33a5bb9p+0")],
+    )
+    def test_bits_of_the_fsum_head(self, s, bits):
+        assert zeta_real(s).hex() == bits
+
     # the kappa tail calls zeta_real up to 1 + 16 ln 10 / ln 2 = 54.2 (p_max = 2)
     @pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 5.0, 10.0, 40.0, 45.0, 54.0, 55.0])
     def test_matches_mpmath(self, s):
         assert abs(zeta_real(s) - float(mpmath.zeta(s))) < 1e-12
+
+
+def _fsum_outcome(fsum, values):
+    """The result's hex, which tells the sign of zero, or the exception."""
+    try:
+        return fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_fsum(values):
+    values = [float(v) for v in values]
+    got = _fsum_outcome(lambda v: _exact_sum(np.array(v, dtype=float)), values)
+    assert got == _fsum_outcome(math.fsum, values)
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_matches_fsum(self, values):
+        assert_matches_fsum(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-1074, 0), min_size=1, max_size=40),
+        st.integers(0, 2**32),
+    )
+    def test_matches_fsum_across_exponents(self, exps, seed):
+        # every term a signed random mantissa at its own binary exponent
+        rng = np.random.default_rng(seed)
+        assert_matches_fsum(np.ldexp(rng.uniform(-1.0, 1.0, len(exps)), exps))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 10, 16])
+    @pytest.mark.parametrize("n_shift", [-1, 0, 1])
+    @pytest.mark.parametrize("top", [1.0, -1.0, 2.0**-40, 2.0**900])
+    def test_counts_around_powers_of_two(self, k, n_shift, top):
+        # n = 2^k - 1, 2^k, 2^k + 1 terms, the largest exactly a power of two
+        n = 2**k + n_shift
+        if n < 1:
+            return
+        rng = np.random.default_rng(n)
+        values = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-80, 0, n)) * abs(top)
+        values[rng.integers(n)] = top
+        assert_matches_fsum(values)
+        # the same terms doubled up so they cancel down to the last bits
+        assert_matches_fsum(np.concatenate((values, -values[::2], values[1::3] * 0.5)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e16, 1.0, -1e16], [], [2.5], [-2.5], [0.0, -0.0], [-0.0], [-0.0, -0.0], [1.0, -1.0],
+         [5e-324], [5e-324, -5e-324, 5e-324], [2.2250738585072014e-308, -5e-324, 1e-310],
+         [1e-320] * 1000, [1.0, 1e-300, 1e-310, -1.0]],
+        ids=["cancel", "empty", "one", "one-negative", "signed-zeros", "minus-zero",
+             "minus-zeros", "exact-zero", "smallest-subnormal", "subnormal-cancel",
+             "subnormal-mix", "subnormal-run", "tiny-left"],
+    )
+    def test_small_and_special_cases(self, values):
+        assert_matches_fsum(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, 1e308, -1e308], [1.7e308, -1.7e308, 1.0], [2.0**1023, 2.0**1023],
+         [1.5 * 2.0**1023, 2.0**1022], [math.ldexp(1.0, 1020)] * 3,
+         [math.ldexp(1.0, 1020) * (1 - 2**-53), -math.ldexp(1.0, 1019), 3.0],
+         [math.ldexp(1.0, 1021) * (1 - 2**-53), 1.0],
+         [math.ldexp(1.0, 1019)] * 7, [math.ldexp(1.0, 1019)] * 8, [1.7976931348623157e308]],
+        ids=["overflow-then-back", "cancel-top", "twice-top", "overflow", "three-at-2^1020",
+             "below-2^1020", "below-2^1021", "seven-at-2^1019", "eight-at-2^1019", "max"],
+    )
+    def test_near_the_overflow_threshold(self, values):
+        # the result, or the OverflowError, must be math.fsum's
+        assert_matches_fsum(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[math.inf, 1.0], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+         [1.0, math.nan, math.inf], [math.inf, math.inf], [1e308, 1e308, math.inf]],
+        ids=["inf", "minus-inf", "inf-minus-inf", "nan", "nan-inf", "inf-twice",
+             "overflow-and-inf"],
+    )
+    def test_non_finite(self, values):
+        assert_matches_fsum(values)
+
+    @pytest.mark.parametrize(
+        "sigma, tau, p_max",
+        [(0.25, 1.0, 100_000), (0.0, 0.6, 100_000), (0.45, 1.0, 10_000), (0.05, 0.6, 10_000)],
+    )
+    def test_log_lambda0(self, sigma, tau, p_max):
+        # the sum behind a table's base_product
+        table = build_table(SpectralParams(sigma, tau), p_max)
+        logs = np.log(table.lambda0)
+        want = math.fsum(logs)
+        assert _exact_sum(logs).hex() == want.hex()
+        assert table.base_product == math.exp(want)
+
+    @pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 10.0, 54.0])
+    def test_zeta_head(self, s):
+        # the partial sum inside zeta_real, terms from 1 down to 10^(-4 s)
+        terms = np.arange(1, 10_001, dtype=float) ** -s
+        want = math.fsum(terms)
+        assert _exact_sum(terms).hex() == want.hex()

@@ -232,6 +232,25 @@ class TestBlockSolver:
                 assert np.array_equal(row[:k], block_eigenvalues(p, params, int(k)))
                 assert not row[k:].any()
 
+    def test_uniform_wave_reverses_without_sorting(self, monkeypatch):
+        # 256 consecutive primes above 10^5, all at one order, as in the
+        # unpadded waves of a table build: dqd leaves every row rising, so
+        # the rows come back reversed, with no sort, and equal the
+        # sequential sweeps to the bit
+        params = SpectralParams(0.25, 1.0)
+        primes = primes_up_to(120_000)
+        ps = primes[primes > 100_000][:256].astype(float)
+        orders = truncation_order(ps, params, DEFAULT_FLOOR)
+        K = int(orders[0])
+        assert ps.size == 256 and (orders == K).all()
+        ref, _ = sequential_dqd(ps, params, K)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("an unpadded wave whose rows rise was sorted")
+
+        monkeypatch.setattr(np, "sort", no_sort)
+        assert np.array_equal(block_eigenvalues(ps, params, orders), ref)
+
     def test_rejects_order_below_one(self):
         with pytest.raises(ValueError, match="K must be >= 1"):
             block_eigenvalues(np.array([2.0, 3.0]), P25, np.array([4, 0]))

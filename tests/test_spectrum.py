@@ -263,7 +263,7 @@ class TestEnumerate:
         ratios = t.kept_ratios.copy()
         ratios[t.offsets[3]] = ratios[t.offsets[0] + 1]
         tied = spectrum.GlobalSpectrumTable(
-            t.params, t.p_max, t.floor, t.primes, t.lambda0, t.offsets, ratios
+            t.params, t.p_max, t.floor, t.primes, t.lambda0, t.offsets, ratios, t.trunc_orders
         )
         n, vals = _oracle_ranked(tied, 2000, 300)
         assert n[4:6].tolist() == [4, 7] and vals[4] == vals[5]
@@ -567,8 +567,14 @@ class TestFlatTable:
             assert np.all(r * t.lambda0[i] > t.floor)
 
     def test_read_only(self, table_small):
-        for a in (table_small.kept_ratios, table_small.offsets, table_small.lambda0):
+        for a in (table_small.kept_ratios, table_small.offsets, table_small.lambda0,
+                  table_small.trunc_orders):
             assert not a.flags.writeable
+
+    def test_trunc_orders_are_the_solved_orders(self, table_small):
+        t = table_small
+        assert t.trunc_orders.dtype == np.int64
+        assert np.array_equal(t.trunc_orders, truncation_order(t.primes, t.params, t.floor))
 
     def test_kappa_path_builds_no_row_index(self):
         table = build_table(P25, 2000)
