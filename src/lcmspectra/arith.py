@@ -202,9 +202,10 @@ def zeta_real(s: float) -> float:
 
     Correction terms through B6 = 1/42 give roughly 1e-12 absolute
     accuracy for s in (1, 55] at the cutoff, without arbitrary precision.
+    Raises InvalidRegime unless s is a finite number above 1.
     """
-    if s <= 1.0:
-        raise InvalidRegime("zeta_real requires s > 1")
+    if s <= 1.0 or not math.isfinite(s):
+        raise InvalidRegime(f"zeta_real requires a finite s > 1, got {s!r}")
     M = _ZETA_CUTOFF
     head = _exact_sum(np.arange(1, M + 1, dtype=float) ** (-s))
     mf = float(M)

@@ -38,15 +38,16 @@ DEFAULT_CAP = 5_000_000
 
 @dataclass(frozen=True)
 class BeurlingSystem:
-    """Ascending real generators > 1 plus the parameters they came from."""
+    """Ascending finite real generators > 1 plus the parameters they came
+    from."""
 
     generators: np.ndarray
     params: SpectralParams
 
     def __post_init__(self):
         g = self.generators
-        if g.size and (g[0] <= 1.0 or np.any(np.diff(g) < 0)):
-            raise ValueError("generators must exceed 1 and ascend")
+        if g.size and (not np.isfinite(g).all() or g[0] <= 1.0 or np.any(np.diff(g) < 0)):
+            raise ValueError("generators must be finite, exceed 1 and ascend")
 
 
 def system_from_spectra(table: GlobalSpectrumTable) -> BeurlingSystem:

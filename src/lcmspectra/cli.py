@@ -3,13 +3,14 @@
 Every output file starts with a comment recording the full parameter set
 and the artifact version (JSON documents carry it as a leading "_comment"
 field since JSON has no comment syntax).  Floats are printed with 17
-significant digits so reruns with identical flags are byte-identical.
+significant digits so reruns with identical flags are byte-identical; a
+missing value is an empty CSV field and a JSON null.
 
 Exit codes: 0 success; 2 invalid parameters (non-finite numbers, sizes
-out of range and values whose powers overflow double precision included)
-or an output file that cannot be written; 3 certificate or coverage
-unavailable; 4 numerical failure.  Every failure prints one
-"error:" line to stderr, never a traceback.
+out of range, values whose powers overflow double precision and block
+orders above local.MAX_ORDER included) or an output file that cannot be
+written; 3 certificate or coverage unavailable; 4 numerical failure.
+Every failure prints one "error:" line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .toeplitz import (
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
@@ -68,24 +71,27 @@ def _comment(args: argparse.Namespace) -> str:
     return f"lcm-spectra {__version__} " + " ".join(parts)
 
 
-def _emit(args, header: list[str], rows: list[list]) -> None:
+def _csv(comment: str, header: list[str], rows: list[list]) -> str:
+    lines = ["# " + comment, ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(comment: str, header: list[str], rows: list[list], record: bool) -> str:
+    records = [dict(zip(header, row)) for row in rows]
+    body = records[0] if record else {"rows": records}
+    return json.dumps({"_comment": comment, **body}, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(args, header: list[str], rows: list[list], record: bool = False) -> None:
+    """Write rows to --out or stdout in --format; with record, JSON holds
+    the one row's fields beside "_comment" in place of a "rows" list."""
     comment = _comment(args)
-    if getattr(args, "format", "csv") == "json":
-        payload = {
-            "_comment": comment,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.format == "json":
+        text = _json(comment, header, rows, record)
     else:
-        lines = ["# " + comment, ",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write(getattr(args, "out", None), text)
-
-
-def _emit_json(args, payload: dict) -> None:
-    payload = {"_comment": _comment(args), **payload}
-    _write(getattr(args, "out", None), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = _csv(comment, header, rows)
+    _write(args.out, text)
 
 
 def _write(out, text: str) -> None:
@@ -134,18 +140,12 @@ def cmd_counting(args) -> None:
     rho = table.params.rho
     result = counting_mu(table, args.t)
     fields = {**asdict(result), "mu_scaled": result.mu * result.t ** (-1.0 / rho)}
-    if args.format == "csv":
-        _emit(args, list(fields), [list(fields.values())])
-    else:
-        _emit_json(args, fields)
+    _emit(args, list(fields), [list(fields.values())], record=True)
     if args.emit_plot_data:
         lo = min(args.t, max(10.0, args.t / 64.0))
         ts = np.geomspace(lo, args.t, num=13) if lo < args.t else np.array([args.t])
-        lines = ["# " + _comment(args), "t,mu_t_scaled"]
-        for t in ts:
-            r = counting_mu(table, float(t))
-            lines.append(f"{_fmt(float(t))},{_fmt(r.mu * t ** (-1.0 / rho))}")
-        _write(args.emit_plot_data, "\n".join(lines) + "\n")
+        rows = [[float(t), counting_mu(table, float(t)).mu * t ** (-1.0 / rho)] for t in ts]
+        _write(args.emit_plot_data, _csv(_comment(args), ["t", "mu_t_scaled"], rows))
 
 
 def cmd_kappa(args) -> None:
@@ -163,10 +163,7 @@ def cmd_kappa(args) -> None:
         "s": comp.s,
         "tail": comp.tail,
     }
-    if args.format == "csv":
-        _emit(args, list(fields), [list(fields.values())])
-    else:
-        _emit_json(args, fields)
+    _emit(args, list(fields), [list(fields.values())], record=True)
 
 
 def cmd_toeplitz_compare(args) -> None:
@@ -282,7 +279,7 @@ def cmd_verify(args) -> None:
         print(f"{'PASS' if ok else 'FAIL'} {name} (measure={measure:.3g})")
         if not ok:
             failed.append(name)
-    if getattr(args, "out", None):
+    if args.out:
         _emit(args, ["check", "status", "measure"], rows)
     if failed:
         raise VerificationFailed(f"checks out of tolerance: {', '.join(failed)}")

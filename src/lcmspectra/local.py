@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR = 1e-14
+# the largest block order block_eigenvalues solves: one base at p = 2 and
+# rho = 0.02 takes 1.6 s at this order on a 2-core host, while the order
+# grows without bound as p -> 1 or rho -> 0 (3.5e8 at p = 1.0000001 and
+# (1/4, 3/2), about 11 GB of solver arrays)
+MAX_ORDER = 2**14
 # dqd stops once every squared off-diagonal is below this share of the
 # squared diagonal after it
 _DQD_TOL = 1e-16
@@ -181,8 +186,9 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     they are sorted.
 
     Vectorises over p: an array of bases gives shape p.shape + (K_top,).
-    Raises ValueError for a base that is not a finite p > 1 or an order
-    below 1, and InvalidRegime unless rho is finite and positive and
+    Raises ValueError for a base that is not a finite p > 1, an order
+    below 1 or a K_top above MAX_ORDER (checked before anything is
+    allocated), and InvalidRegime unless rho is finite and positive and
     tau > 0.
     """
     p = np.asarray(p, dtype=float)
@@ -190,8 +196,13 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     orders = np.broadcast_to(np.asarray(K, dtype=np.int64), p.shape).ravel()
     if (orders < 1).any():
         raise ValueError("K must be >= 1")
-    logp = np.log(p).ravel()
     K = int(orders.max())
+    if K > MAX_ORDER:
+        raise ValueError(
+            f"block order K = {K} exceeds the limit {MAX_ORDER} "
+            f"at the smallest base p = {float(p.min())!r}"
+        )
+    logp = np.log(p).ravel()
     one_minus_x = -np.expm1(-params.tau * logp)
     # row i of the position-major arrays is position i of the reversed
     # factor: squared diagonal q_i, and the squared off-diagonal before it

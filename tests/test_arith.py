@@ -242,6 +242,11 @@ class TestZeta:
             with pytest.raises(InvalidRegime):
                 zeta_real(s)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_rejects_non_finite_s(self, s):
+        with pytest.raises(InvalidRegime, match="finite s > 1"):
+            zeta_real(s)
+
     # bits of the partial sum taken by math.fsum; a plain np.sum moves the
     # last bit at s = 1.05 and s = 3
     @pytest.mark.parametrize(

@@ -105,6 +105,11 @@ class TestToySystems:
         with pytest.raises(ValueError):
             beurling_integers(system, x)
 
+    @pytest.mark.parametrize("gens", [(math.nan, 2.0), (2.0, math.nan), (2.0, math.inf)])
+    def test_rejects_non_finite_generators(self, gens):
+        with pytest.raises(ValueError, match="generators must be finite"):
+            BeurlingSystem(np.array(gens), P25)
+
     def test_primes_to_seven_cover_ten(self):
         system = BeurlingSystem(np.array([2.0, 3.0, 5.0, 7.0]), P25)
         assert count_integers(system, 10.0) == 10

@@ -16,6 +16,7 @@ from lcmspectra import (
     local,
     system_from_spectra,
 )
+from lcmspectra import cli
 from lcmspectra.cli import _fmt, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -158,6 +159,20 @@ class TestCounting:
         assert len(pairs) == 13
         assert pairs[-1][0] == 500.0
 
+    def test_plot_data_is_csv_in_either_format(self, capsys, tmp_path):
+        plot = tmp_path / "mu_plot.csv"
+        texts = []
+        for fmt in ("json", "csv"):
+            code, _, _ = run(
+                ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "50",
+                 "--pmax", "2000", "--format", fmt, "--emit-plot-data", str(plot)],
+                capsys,
+            )
+            assert code == 0
+            texts.append(plot.read_text())
+        assert texts[0] == texts[1]
+        assert texts[0].splitlines()[1] == "t,mu_t_scaled"
+
     def test_csv_at_rho_half(self, capsys):
         # at t = 200, 1/t clears the bound on primes above p_max by 1.22
         code, out, _ = run(
@@ -279,6 +294,19 @@ class TestVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_check_is_four(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "zeta_real", lambda s: 0.0)
+        path = tmp_path / "v.csv"
+        code, out, err = run(["verify", "--out", str(path)], capsys)
+        assert code == 4
+        assert "FAIL zeta-pi2-over-6 (measure=1.64)" in out.splitlines()
+        assert sum(line.startswith("PASS") for line in out.splitlines()) == 5
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert [r[1] for r in rows if r[0] == "zeta-pi2-over-6"] == ["FAIL"]
+        assert err == (
+            "error: numerical failure: checks out of tolerance: zeta-pi2-over-6\n"
+        )
+
 
 class TestExitCodes:
     def test_invalid_regime_is_two(self, capsys):
@@ -349,6 +377,18 @@ class TestExitCodes:
         got = [float(l.split(",")[2]) for l in out.splitlines()[2:]]
         table = build_table(SpectralParams(0.25, 1.0), 2000, target_floor=0.01)
         assert got == _top_values(table, 2000, 3)
+
+    def test_beurling_floor_without_second_eigenvalue_is_three(self, capsys):
+        code, out, err = run(
+            ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
+             "--pmax", "1000", "--floor", "0.5"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: certificate unavailable: no second eigenvalue for p=2: "
+            "floor 0.5 too high\n"
+        )
 
     def test_spectrum_pmax_error_names_value(self, capsys):
         code, _, err = run(
@@ -438,6 +478,11 @@ BAD_INPUTS = {
                            "--pmax", "0"],
     "beurling-max-enum-zero": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "100",
                                "--pmax", "1000", "--max-enum", "0"],
+    # block orders above local.MAX_ORDER: 345 387 784 at p = 1.0000001 and
+    # 2 491 449 at p = 2
+    "block-order-local-eigs": LOCAL + ["--p", "1.0000001"],
+    "block-order-toeplitz": ["toeplitz-compare", "--sigma", "0.49999", "--n", "16",
+                             "--pmax", "100"],
 }
 
 
@@ -447,7 +492,7 @@ class TestBadInputs:
         argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[case]]
         code, _, err = run(argv, capsys)
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
 
@@ -464,3 +509,59 @@ class TestNoTableCache:
         assert run(argv, capsys) == (0, plain, "")
         assert path.read_bytes() == b"not a directory"
         assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+
+# one small run of every subcommand; counting and kappa print one record
+EVERY_COMMAND = {
+    "local-eigs": ["local-eigs", "--p", "3", "--sigma", "0.25", "--tau", "1.5"],
+    "spectrum": ["spectrum", "--sigma", "0.25", "--tau", "1.5", "--nmax", "20", "--pmax", "1000"],
+    "counting": ["counting", "--sigma", "0.25", "--tau", "1.5", "--t", "50", "--pmax", "2000"],
+    "kappa": ["kappa", "--sigma", "0.25", "--tau", "1.2", "--pmax", "500"],
+    "toeplitz-compare": ["toeplitz-compare", "--sigma", "0.25", "--n", "64", "--top", "3",
+                         "--pmax", "2000"],
+    "schatten": ["schatten", "--sigma", "0", "--q", "2", "--m", "32", "--n", "8,16"],
+    "beurling": ["beurling", "--sigma", "0.25", "--tau", "1.5", "--x", "10,100",
+                 "--pmax", "500"],
+    "verify": ["verify", "--seed", "7"],
+}
+RECORDS = {"counting", "kappa"}
+
+
+class TestOutputFormats:
+    def test_every_command_is_covered(self):
+        assert set(EVERY_COMMAND) == set(build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("command", list(EVERY_COMMAND))
+    def test_csv_and_json_carry_the_same_rows(self, command, capsys, tmp_path):
+        texts = {}
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"out.{fmt}"
+            code, _, err = run(EVERY_COMMAND[command] + ["--format", fmt, "--out", str(path)],
+                               capsys)
+            assert (code, err) == (0, "")
+            texts[fmt] = path.read_text()
+        comment, header, *lines = texts["csv"].splitlines()
+        assert comment.startswith("# lcm-spectra ")
+        header = header.split(",")
+        rows = [line.split(",") for line in lines]
+        assert rows and all(len(row) == len(header) for row in rows)
+
+        payload = json.loads(texts["json"])
+        assert "# " + payload.pop("_comment") == comment
+        if command in RECORDS:
+            assert len(rows) == 1
+            records = [payload]
+        else:
+            assert list(payload) == ["rows"]
+            records = payload["rows"]
+        assert len(records) == len(rows)
+        for row, record in zip(rows, records):
+            assert set(record) == set(header)
+            for field, key in zip(row, header):
+                value = record[key]
+                if value is None:
+                    assert field == ""
+                elif isinstance(value, str):
+                    assert field == value
+                else:
+                    assert float(field) == value

@@ -255,6 +255,18 @@ class TestBlockSolver:
         with pytest.raises(ValueError, match="K must be >= 1"):
             block_eigenvalues(np.array([2.0, 3.0]), P25, np.array([4, 0]))
 
+    def test_order_limit(self, monkeypatch):
+        monkeypatch.setattr(local, "MAX_ORDER", 34)
+        ref = np.linalg.eigvalsh(build_local_matrix(3, P25, 34))[::-1]
+        np.testing.assert_allclose(block_eigenvalues(3, P25, 34), ref, rtol=1e-12)
+        # the batch's largest order decides, and the message names the
+        # order, the limit and the smallest base
+        match = r"block order K = 35 exceeds the limit 34 at the smallest base p = 3\.0"
+        with pytest.raises(ValueError, match=match):
+            block_eigenvalues(np.array([5.0, 3.0]), P25, np.array([20, 35]))
+        with pytest.raises(ValueError, match="exceeds the limit 34"):
+            local_spectrum(2, P25)
+
     # the longest blocks of small-rho tables: rho = 0.1 at p = 2 and 3, rho = 0.2 at p = 2
     @pytest.mark.parametrize(
         "p, params, K",

@@ -242,6 +242,10 @@ class TestEnumerate:
         with pytest.raises(EnumerationInfeasible, match=match):
             enumerate_spectrum(table_small, 5000)
 
+    def test_rejects_n_max_below_one(self, table_small):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            enumerate_spectrum(table_small, 0)
+
     def test_matches_lambda_of(self, table_small):
         for e in enumerate_spectrum(table_small, 200):
             assert e.value == lambda_of(e.n, table_small).value
