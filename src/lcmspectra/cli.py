@@ -201,6 +201,22 @@ def cmd_beurling(args) -> None:
 def _verify_checks(args):
     rng = np.random.RandomState(args.seed)
     params = SpectralParams(args.sigma, args.tau)
+    # every block the three local checks read, solved as one batch before
+    # any check runs, so a bad --sigma/--tau fails before a line is printed
+    blocks = {
+        "trace": [(p, SpectralParams(0.25, 1.5)) for p in (2, 3, 5, 7, 11)],
+        "moment": [
+            (p, SpectralParams(sigma, 0.5 + 2.0 * sigma))
+            for sigma in (0.0, 0.25)
+            for p in (2, 3, 5)
+        ],
+        "envelope": [(p, params) for p in (3, 5, 7, 11, 13)],
+    }
+    listed = [block for group in blocks.values() for block in group]
+    solved = iter(local_spectra([p for p, _ in listed], [pars for _, pars in listed]))
+    spectra = {
+        name: [(p, pars, next(solved)) for p, pars in group] for name, group in blocks.items()
+    }
 
     def check_corner():
         worst = 0.0
@@ -227,29 +243,23 @@ def _verify_checks(args):
 
     def check_trace():
         worst = 0.0
-        primes = (2, 3, 5, 7, 11)
-        for p, spec in zip(primes, local_spectra(primes, SpectralParams(0.25, 1.5))):
+        for p, _, spec in spectra["trace"]:
             total = (1.0 - 1.0 / p) * math.fsum(spec.eigenvalues)
             worst = max(worst, abs(total - 1.0))
         return worst, worst < 1e-10
 
     def check_second_moment():
         worst = 0.0
-        for sigma in (0.0, 0.25):
-            pars = SpectralParams(sigma, 0.5 + 2.0 * sigma)
-            primes = (2, 3, 5)
-            for p, spec in zip(primes, local_spectra(primes, pars)):
-                lhs = (1.0 - 1.0 / p) * math.fsum(spec.eigenvalues**2)
-                rhs = (1.0 - p ** (-(2.0 + 4.0 * sigma))) / (
-                    1.0 - p ** (-(1.0 + 2.0 * sigma))
-                ) ** 2
-                worst = max(worst, abs(lhs - rhs))
+        for p, pars, spec in spectra["moment"]:
+            sigma = pars.sigma
+            lhs = (1.0 - 1.0 / p) * math.fsum(spec.eigenvalues**2)
+            rhs = (1.0 - p ** (-(2.0 + 4.0 * sigma))) / (1.0 - p ** (-(1.0 + 2.0 * sigma))) ** 2
+            worst = max(worst, abs(lhs - rhs))
         return worst, worst < 1e-10
 
     def check_envelope():
         ok = True
-        primes = (3, 5, 7, 11, 13)
-        for p, spec in zip(primes, local_spectra(primes, params)):
+        for p, _, spec in spectra["envelope"]:
             env = best_envelope(p, params)
             k = np.arange(spec.eigenvalues.size)
             ok &= bool(np.all(spec.eigenvalues <= env.upper(k) + 1e-12))

@@ -4,7 +4,8 @@ The block at base p has entries p^(sigma (j+k) - tau max(j,k)) for
 j, k >= 0.  The base may be any real p > 1; integer primality plays no
 role in the linear algebra, and prime-indexed callers simply restrict to
 primes.  One private routine solves a batch of blocks, each at its own
-order, cuts each row at the floor and checks its top eigenvalue;
+order and, when given a list of parameter points, at its own (sigma,
+tau), cuts each row at the floor and checks its top eigenvalue;
 local_spectra runs it once for a list of bases, local_spectrum is
 local_spectra at one base, and spectrum.build_table runs it for each
 wave of consecutive primes.  The solve is zero-shift dqd with its sweeps
@@ -13,12 +14,14 @@ numpy step, so a batch whose largest order is K costs about K + 2S numpy
 steps for S sweeps rather than K S, at the price of finishing the
 (K - 1) // 2 sweeps in flight when the stopping test passes.  A base's
 eigenvalues come out the same to the bit whatever batch it is solved
-in.  All returned values are immutable and safe to share.
+in, whatever the orders and parameter points of the other bases.  All
+returned values are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_FLOOR = 1e-14
+# one parameter point for every base, or a sequence of them, one per base
+Params = SpectralParams | Sequence[SpectralParams]
 # the largest block order block_eigenvalues solves: one base at p = 2 and
 # rho = 0.02 takes 1.6 s at this order on a 2-core host, while the order
 # grows without bound as p -> 1 or rho -> 0 (3.5e8 at p = 1.0000001 and
@@ -77,20 +82,26 @@ def build_local_matrix(p, params: SpectralParams, K: int) -> np.ndarray:
     return np.exp(np.log(p)[..., None, None] * expo)
 
 
-def truncation_order(p, params: SpectralParams, target_floor: float):
+def truncation_order(p, params: Params, target_floor: float):
     """Block size placing the discarded diagonal a decade below the floor.
 
     The diagonal p^(-rho k) sets the scale of what truncation throws away;
-    two extra rows add safety margin.  Vectorises over p.  Raises
-    ValueError unless 0 < target_floor < 1 and every base is a finite
-    p > 1, and InvalidRegime unless rho is finite and positive and tau > 0.
+    two extra rows add safety margin.  Vectorises over p; params is one
+    SpectralParams for every base or a sequence of them, one per base in
+    p's flat order.  Raises ValueError unless 0 < target_floor < 1, every
+    base is a finite p > 1 and a sequence has one point per base, and
+    InvalidRegime unless every rho is finite and positive and every
+    tau > 0.
     """
     if not (0.0 < target_floor < 1.0):
         raise ValueError("target_floor must lie in (0, 1)")
     # no float copy of p outlives its use
-    _check_blocks(np.asarray(p, dtype=float), params)
+    rho, _ = _check_blocks(np.asarray(p, dtype=float), params)
     logp = np.log(np.asarray(p, dtype=float))
-    K = np.ceil(math.log(target_floor / 10.0) / (-params.rho * logp)).astype(np.int64)
+    # a huge rho overflows -rho log p to -inf, giving the least order 3,
+    # and the solve then reports the overflow of p^(rho (K-1))
+    with np.errstate(over="ignore"):
+        K = np.ceil(math.log(target_floor / 10.0) / (-rho * logp)).astype(np.int64)
     K = np.maximum(K + 2, 3)
     return int(K) if K.ndim == 0 else K
 
@@ -116,30 +127,47 @@ def truncation_tail_bound(p, params: SpectralParams, K) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _check_blocks(p: np.ndarray, params: SpectralParams) -> None:
-    """Raise unless every base is a finite p > 1 and the exponents give
-    finite rho > 0 and tau > 0, the blocks the dqd solve is built for."""
-    if not (0.0 < params.rho < math.inf and params.tau > 0.0):
-        raise InvalidRegime(
-            f"local spectra need finite rho > 0 and tau > 0, got rho={params.rho}, tau={params.tau}"
-        )
+def _check_blocks(p: np.ndarray, params: Params):
+    """rho and tau of the blocks at the bases p: floats for one
+    SpectralParams, arrays of p's shape for a sequence of them.
+
+    Raises unless every base is a finite p > 1 and every point gives
+    finite rho > 0 and tau > 0, the blocks the dqd solve is built for; a
+    sequence must hold one point per base, and a bad point is named.
+    """
+    single = isinstance(params, SpectralParams)
+    points = [params] if single else list(params)
+    if not single and len(points) != p.size:
+        raise ValueError(f"{len(points)} parameter points for {p.size} bases")
+    for i, point in enumerate(points):
+        if not (0.0 < point.rho < math.inf and point.tau > 0.0):
+            where = "" if single else f" at {point!r}, point {i} of the list"
+            raise InvalidRegime(
+                f"local spectra need finite rho > 0 and tau > 0, "
+                f"got rho={point.rho}, tau={point.tau}{where}"
+            )
     bad = ~((1.0 < p) & (p < math.inf))
     if bad.any():
         raise ValueError(f"base p must be finite and exceed 1, got {p[bad].flat[0]}")
+    if single:
+        return params.rho, params.tau
+    rho = np.array([point.rho for point in points], dtype=float).reshape(p.shape)
+    tau = np.array([point.tau for point in points], dtype=float).reshape(p.shape)
+    return rho, tau
 
 
-def _sweep_cap(params: SpectralParams, logp: np.ndarray, K: int) -> int:
+def _sweep_cap(rho, logp: np.ndarray, K: int) -> int:
     """Most dqd sweeps one batch may take before the solve gives up.
 
     Each sweep shrinks the off-diagonal by about p^(-rho), so the sweeps
     stay below K + log(tol) / log(p^(-rho)) (about K at the truncation
-    order); allow twice that, at the batch's largest order K and its
-    smallest base.
+    order); allow twice that, at the batch's largest order K and the
+    base with the least rho log p.  rho is one float or one per base.
     """
-    return 2 * (K + math.ceil(math.log(_DQD_TOL) / (-params.rho * float(logp.min()))))
+    return 2 * (K + math.ceil(math.log(_DQD_TOL) / float(np.max(-rho * logp))))
 
 
-def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
+def block_eigenvalues(p, params: Params, K) -> np.ndarray:
     """Eigenvalues of the K x K blocks at the bases p, descending per block.
 
     The corner identity writes the block as E_K = B^T B with
@@ -154,8 +182,10 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     rather than build it.
 
     K is one order for every base or an array of per-base orders,
-    broadcast to p's shape.  Each base's factor is built at its own order
-    and padded up to the largest, K_top, with q = 1 and e = 0.  The
+    broadcast to p's shape, and params is one SpectralParams for every
+    base or a sequence of them, one per base in p's flat order.  Each
+    base's factor is built at its own order from its own rho and tau, and
+    padded up to the largest order, K_top, with q = 1 and e = 0.  The
     padding leaves the real positions alone: with e = 0 at the junction,
     the last real position computes d + 0, as at the zero row that ends
     an unpadded factor, and a pad never raises a flag.  The padded
@@ -173,10 +203,10 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     flight (fewer at the sweep cap) then run to completion.  By then a
     base's q have settled: further sweeps leave them unchanged to the bit.
     So a base's eigenvalues do not depend on how many sweeps its batch
-    runs, nor on the other bases and orders in it.  That is measured, not
-    proven, and it needs a sweep in flight: it held on every row tried
-    at K >= 3 (truncation orders are never below 3), while at K = 2 the
-    last bit of an eigenvalue can still move.
+    runs, nor on the other bases, orders and parameter points in it.
+    That is measured, not proven, and it needs a sweep in flight: it held
+    on every row tried at K >= 3 (truncation orders are never below 3),
+    while at K = 2 the last bit of an eigenvalue can still move.
 
     The eigenvalues are the reciprocals of the final q.  dqd leaves them
     rising along the positions, but the stopping test bounds the
@@ -186,14 +216,17 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     they are sorted.
 
     Vectorises over p: an array of bases gives shape p.shape + (K_top,).
-    Raises ValueError for a base that is not a finite p > 1, an order
-    below 1 or a K_top above MAX_ORDER (checked before anything is
-    allocated), and InvalidRegime unless rho is finite and positive and
-    tau > 0.
+    Raises ValueError for a base that is not a finite p > 1, a sequence
+    of params that is not one per base, an order below 1 or a K_top
+    above MAX_ORDER (checked before anything is allocated), InvalidRegime
+    unless every rho is finite and positive and every tau > 0, and
+    OverflowError when p^(rho (K-1)) overflows.
     """
     p = np.asarray(p, dtype=float)
-    _check_blocks(p, params)
-    orders = np.broadcast_to(np.asarray(K, dtype=np.int64), p.shape).ravel()
+    shape = p.shape
+    p = p.ravel()
+    rho, tau = _check_blocks(p, params)
+    orders = np.broadcast_to(np.asarray(K, dtype=np.int64), shape).ravel()
     if (orders < 1).any():
         raise ValueError("K must be >= 1")
     K = int(orders.max())
@@ -202,8 +235,9 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
             f"block order K = {K} exceeds the limit {MAX_ORDER} "
             f"at the smallest base p = {float(p.min())!r}"
         )
-    logp = np.log(p).ravel()
-    one_minus_x = -np.expm1(-params.tau * logp)
+    logp = np.log(p)
+    with np.errstate(over="ignore"):
+        one_minus_x = -np.expm1(-tau * logp)
     # row i of the position-major arrays is position i of the reversed
     # factor: squared diagonal q_i, and the squared off-diagonal before it
     # as e_i (e_0 = 0); rows from a base's order on are its padding, and
@@ -214,19 +248,22 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     q = np.zeros((K + 1, logp.size))
     e = np.zeros_like(q)
     with np.errstate(over="ignore"):
-        for rows, j, shift in ((q[:K], jr, 0.0), (e[1:K], jr[:-1], params.tau)):
-            np.multiply(j, params.rho, out=rows)
+        for rows, j, shift in ((q[:K], jr, 0.0), (e[1:K], jr[:-1], tau)):
+            np.multiply(j, rho, out=rows)
             rows -= shift
             np.exp(np.multiply(rows, logp, out=rows), out=rows)
             rows /= one_minus_x
-        q[0] = np.exp(params.rho * (orders - 1) * logp)
+        q[0] = np.exp(rho * (orders - 1) * logp)
     np.copyto(q[:K], 1.0, where=pad)
     np.copyto(e[1:K], 0.0, where=pad[1:])
     if not np.all(np.isfinite(q)):
+        i = int(np.argmin(np.isfinite(q).all(axis=0)))
+        rho_i = rho if np.isscalar(rho) else rho[i]
         raise OverflowError(
-            f"p^(rho (K-1)) overflows double precision at K={K}, rho={params.rho}"
+            f"p^(rho (K-1)) overflows double precision at K={int(orders[i])}, "
+            f"rho={rho_i}, p={p[i]}"
         )
-    max_sweeps = _sweep_cap(params, logp, K)
+    max_sweeps = _sweep_cap(rho, logp, K)
     # d[i] and flag[i] belong to the sweep at position i: its running d,
     # and whether some pair it wrote still has e_i > tol q_(i+1)
     d = np.empty_like(q)
@@ -262,14 +299,15 @@ def block_eigenvalues(p, params: SpectralParams, K) -> np.ndarray:
     del d, e  # freed before a sort copies q
     lam = np.divide(1.0, q[:K], out=q[:K])
     if not pad.any() and np.all(lam[:-1] <= lam[1:]):
-        return lam[::-1].T.reshape(p.shape + (K,))
+        return lam[::-1].T.reshape(shape + (K,))
     np.copyto(lam, 0.0, where=pad)
-    return np.sort(lam.T, axis=1)[:, ::-1].reshape(p.shape + (K,))
+    return np.sort(lam.T, axis=1)[:, ::-1].reshape(shape + (K,))
 
 
-def _solve_rows(bases: np.ndarray, params: SpectralParams, K, floor: float):
+def _solve_rows(bases: np.ndarray, params: Params, K, floor: float):
     """Eigenvalues of the blocks at a 1-D array of bases, each of its order
-    in K (one int or one per base), one descending row per base, and the
+    in K (one int or one per base) and its point in params (one
+    SpectralParams or one per base), one descending row per base, and the
     mask of those above floor.
 
     Rows descend and a row's padding is 0, so the kept eigenvalues of a
@@ -299,16 +337,19 @@ class LocalSpectrum:
 
 
 def local_spectra(
-    bases, params: SpectralParams, target_floor: float = DEFAULT_FLOOR
+    bases, params: Params, target_floor: float = DEFAULT_FLOOR
 ) -> list[LocalSpectrum]:
     """The LocalSpectrum of the block at each base, in the order given.
 
-    One batch of the bidiagonal dqd solve, each base at its own
-    truncation order chosen from the floor, with eigenvalues at or below
-    the floor discarded as numerically untrustworthy, exactly as
-    build_table does for each row of its table.  A base's eigenvalues do
-    not depend on its batch, so each element is bit-identical to
-    local_spectrum at that base.  An empty sequence gives [].
+    params is one SpectralParams for every base or a sequence of them,
+    one per base, so blocks at several parameter points can share one
+    solve.  One batch of the bidiagonal dqd solve, each base at its own
+    parameters and its own truncation order chosen from the floor, with
+    eigenvalues at or below the floor discarded as numerically
+    untrustworthy, exactly as build_table does for each row of its table.
+    A base's eigenvalues do not depend on its batch, so each element is
+    bit-identical to local_spectrum at that base and its point.  An empty
+    sequence gives [].
     """
     bases = np.asarray(bases, dtype=float).ravel()
     orders = truncation_order(bases, params, target_floor)

@@ -294,6 +294,17 @@ class TestVerify:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bad_pair_fails_before_any_check(self, capsys, tmp_path):
+        # rho = -0.1: the one batch of local blocks is solved, and refused,
+        # before the first check prints its line or any file is written
+        path = tmp_path / "v.csv"
+        code, out, err = run(["verify", "--sigma", "0.3", "--tau", "0.5", "--out", str(path)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid parameters: local spectra need finite rho > 0")
+        assert "SpectralParams(sigma=0.3, tau=0.5)" in err and err.count("\n") == 1
+        assert not path.exists()
+
     def test_failed_check_is_four(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "zeta_real", lambda s: 0.0)
         path = tmp_path / "v.csv"
@@ -494,6 +505,22 @@ class TestBadInputs:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    # pytest records warnings apart from capsys, so only turning them into
+    # errors shows a numpy warning printed before the error line
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["kappa", "--sigma", "0.25", "--tau", "1e308", "--pmax", "1000"],
+         ["spectrum", "--sigma", "0.25", "--tau", "1e308", "--nmax", "10", "--pmax", "1000"],
+         ["verify", "--tau", "1e308"]],
+        ids=["kappa", "spectrum", "verify"],
+    )
+    def test_overflow_without_warnings(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid parameters: p^(rho (K-1)) overflows")
+        assert err.count("\n") == 1
 
 
 class TestNoTableCache:

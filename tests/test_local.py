@@ -292,6 +292,34 @@ class TestBlockSolver:
         with pytest.raises(OverflowError):
             block_eigenvalues(1e300, P25, 3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_exponents_raise_without_warnings(self):
+        # -rho log p and -tau log p overflow to -inf; the order falls to
+        # 3 and the solve reports the overflow of p^(rho (K-1)), with no
+        # numpy warning on the way
+        params = SpectralParams(0.25, 1e308)
+        assert truncation_order(1000.0, params, DEFAULT_FLOOR) == 3
+        with pytest.raises(OverflowError, match=r"at K=3, rho=1e\+308, p=1000\.0"):
+            block_eigenvalues(1000.0, params, 3)
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            local_spectra([3.0, 1000.0], [P25, params])
+
+    @pytest.mark.parametrize("K", [9, None], ids=["one-order", "truncation-orders"])
+    def test_per_base_params_equal_sequential_sweeps(self, K):
+        # bases at three points in one wave, the same base at two of them:
+        # each row is the sequential dqd at its own point and order
+        ps = np.array([2.0, 3.0, 2.0, 7.0, 5.0])
+        points = [P25, P25, SpectralParams(0.0, 0.5), SpectralParams(0.0, 0.5),
+                  SpectralParams(-0.3, 0.3)]
+        orders = np.array([truncation_order(p, pt, DEFAULT_FLOOR) for p, pt in zip(ps, points)])
+        orders = orders if K is None else np.full(ps.size, K)
+        got = block_eigenvalues(ps, points, orders)
+        assert got.shape == (ps.size, orders.max())
+        for p, point, k, row in zip(ps, points, orders, got):
+            ref, _ = sequential_dqd(p, point, int(k))
+            assert np.array_equal(row[:k], ref[0])
+            assert not row[k:].any()
+
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.0])
     def test_rejects_non_finite_or_small_base(self, p):
         with pytest.raises(ValueError, match="base p must be finite and exceed 1"):
@@ -304,6 +332,15 @@ class TestBlockSolver:
     def test_rejects_bad_regime(self, params):
         with pytest.raises(InvalidRegime, match="finite rho > 0 and tau > 0"):
             block_eigenvalues(2, params, 5)
+
+    def test_sweep_cap_reads_the_slowest_base(self):
+        # per-base rho: the cap is set by the least rho log p in the batch,
+        # here rho = 0.1 at p = 3 beside rho = 1 at p = 2, whatever the order
+        logp = np.log(np.array([2.0, 3.0]))
+        slowest = local._sweep_cap(0.1, logp[1:], 40)
+        assert local._sweep_cap(np.array([1.0, 0.1]), logp, 40) == slowest
+        assert local._sweep_cap(np.array([0.1, 1.0]), logp[::-1], 40) == slowest
+        assert local._sweep_cap(1.0, logp, 40) < slowest
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(local, "_sweep_cap", lambda *args: 1)
@@ -406,6 +443,31 @@ class TestLocalSpectra:
     def test_one_bad_base_raises(self, bad):
         with pytest.raises(ValueError, match="base p must be finite and exceed 1"):
             local_spectra([2, bad, 3], P25)
+
+    def test_per_base_params_match_single_calls(self):
+        # the same base at two points, rho = 1 beside rho = 1/2 and 0.1,
+        # orders from 7 to 217, so every shorter block is padded
+        points = [P25, SpectralParams(0.0, 0.5), P25, SpectralParams(0.25, 1.0),
+                  SpectralParams(0.45, 1.0), SpectralParams(0.0, 0.5)]
+        bases = [2, 2, 97, 3, 5, 1e6]
+        batch = local_spectra(bases, points)
+        assert len({spec.truncation_order for spec in batch}) == len(batch)
+        for p, point, got in zip(bases, points, batch):
+            ref = local_spectrum(p, point)
+            assert type(got.truncation_order) is int
+            assert got.truncation_order == ref.truncation_order
+            assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        orders = truncation_order(np.array(bases, dtype=float), points, DEFAULT_FLOOR)
+        assert orders.tolist() == [spec.truncation_order for spec in batch]
+
+    def test_one_point_per_base(self):
+        with pytest.raises(ValueError, match="2 parameter points for 3 bases"):
+            local_spectra([2, 3, 5], [P25, P25])
+        assert local_spectra([], []) == []
+
+    def test_invalid_point_is_named(self):
+        with pytest.raises(InvalidRegime, match=r"SpectralParams\(sigma=0\.3, tau=0\.5\), point 1"):
+            local_spectra([2, 3, 5], [P25, SpectralParams(0.3, 0.5), P25])
 
 
 class TestTopEigenvalueCheck:
