@@ -16,6 +16,7 @@ Every failure prints one "error:" line to stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -312,6 +313,7 @@ def _add_common(sp, sigma=True, tau=True, floor=True):
         sp.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcm-spectra",

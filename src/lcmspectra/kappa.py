@@ -131,7 +131,8 @@ def kappa_numeric(params: SpectralParams, *, table: GlobalSpectrumTable) -> Kapp
     primes = table.primes
 
     base = primes.astype(float) ** (-params.rho * s)
-    sums = np.bincount(table.owner, weights=table.kept_ratios**s, minlength=len(primes))
+    rows = np.repeat(np.arange(len(primes)), table.lengths)
+    sums = np.bincount(rows, weights=table.kept_ratios**s, minlength=len(primes))
     g = (1.0 - base) * table.lambda0**s * (1.0 + sums)
     if np.any(g <= 0.0):
         raise InvalidRegime("non-positive Euler factor; spectra unavailable")

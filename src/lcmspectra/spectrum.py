@@ -12,8 +12,9 @@ that no index is factored: a divisor-closed set that holds every n with
 lambda_n > 1/t.  The counting function mu(t) = #{n : lambda_n > 1/t}
 counts it, and enumerate_spectrum ranks the largest values of one search
 into a RankedSpectrum, a read-only view over two arrays that builds a
-GlobalEigenvalue only for the entries a caller reads.  The module also
-cross-checks against dense finite sections.
+GlobalEigenvalue only for the entries a caller reads.  Both read one
+certificate, held by the table.  The module also cross-checks against
+dense finite sections.
 """
 
 from __future__ import annotations
@@ -166,24 +167,15 @@ def _product_tail_bound(params: SpectralParams, p_max: int) -> float:
 
 
 class GlobalSpectrumTable:
-    """Per-prime spectra below a cutoff plus the assembled base product.
+    """Per-prime spectra below a cutoff, with the certificate built on them.
 
     The spectra are stored flat, in compressed-row form: row i (the i-th
     prime, ascending) owns kept_ratios[offsets[i]:offsets[i + 1]], the
     ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
     order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
-    length, owner[j] the row of kept_ratios[j] and trunc_orders[i] the
-    order the row was solved at, as build_table computed it, or as
-    load_table computes it from the primes it read.  Every array is
-    read-only.  Three values are computed once, on first use, kept
-    read-only and left out of a pickle: row_of, the row of the least prime
-    factor of every integer up to p_max (4 bytes per integer: 3.8 MB at
-    p_max = 10^6, 38 MB and about 0.3 s at 10^7), which only lambda_of
-    reads, so ranking, counting and kappa never build it; reach, the row
-    bound of the search behind ranking and counting, one float per prime;
-    and _views, the memoryviews lambda_of reads its arrays through.
-    Queries may run concurrently; if two threads use a table for the first
-    time at once, a value may be computed twice, which does no harm.
+    length and trunc_orders[i] the order the row was solved at, as
+    build_table computed it, or as load_table computes it from the primes
+    it read.  Every array is read-only.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, as exp of the correctly rounded sum of their logs
@@ -191,12 +183,20 @@ class GlobalSpectrumTable:
     is a certified bound t_bound on the log of the remaining infinite
     tail, so the full product lies in [Lambda_0, Lambda_0 exp(t_bound)].
     In weakly decaying regimes a small p_max admits no certificate;
-    t_bound is then inf and only tail-certified queries fail.
+    t_bound is then inf and only tail-certified queries fail.  The
+    constructor computes both, and the envelope() built on them.  Three
+    cached properties are computed once, on first use, kept read-only and
+    left out of a pickle: row_of, the row of the least prime factor of
+    every integer up to p_max (4 bytes per integer: 3.8 MB at p_max = 10^6,
+    38 MB and about 0.3 s at 10^7), which only lambda_of reads;
+    ratio_bounds, the bounds on every kept ratio and the row bound, which
+    only the search behind ranking and counting reads; and _views, the
+    memoryviews lambda_of reads its arrays through.  Queries may run
+    concurrently; if two threads use a table for the first time at once,
+    a value may be computed twice, which does no harm.
     """
 
-    def __init__(
-        self, params, p_max, floor, primes, lambda0, offsets, kept_ratios, trunc_orders
-    ):
+    def __init__(self, params, p_max, floor, primes, lambda0, offsets, kept_ratios, trunc_orders):
         self.params = params
         self.p_max = int(p_max)
         self.floor = float(floor)
@@ -209,24 +209,29 @@ class GlobalSpectrumTable:
             primes.astype(float), params, self.trunc_orders.astype(float)
         )
         self.lengths = np.diff(offsets)
-        self.owner = np.repeat(np.arange(len(primes)), self.lengths)
         for a in (primes, lambda0, offsets, kept_ratios, self.trunc_orders,
-                  self.tail_bounds, self.lengths, self.owner):
+                  self.tail_bounds, self.lengths):
             a.setflags(write=False)
         self.base_product = math.exp(_exact_sum(np.log(self.lambda0)))
         try:
             self.tail_exponent_bound = _product_tail_bound(params, self.p_max)
         except CertificateUnavailable:
             self.tail_exponent_bound = math.inf
+        # an unkept eigenvalue lies below floor + err, and lambda_0 >= 1
+        cap = self.floor + float(np.max(self.tail_bounds)) + _SOLVER_MARGIN
+        # lambda_1 / lambda_0 <= c_upper p^-rho; c_upper = (1+u)/(1-u) with
+        # u = p^(-tau/2) and p^-rho both fall in p
+        beyond = best_envelope(float(self.p_max), params).c_upper * self.p_max**-params.rho
+        prefactor = self.base_product * math.exp(self.tail_exponent_bound)
+        self._envelope = SpectralEnvelope(cap, beyond, prefactor)
 
     def __len__(self) -> int:
         return len(self.primes)
 
     def __getstate__(self) -> dict:
-        # the cached members are rebuilt on first use, and memoryviews do
-        # not pickle
-        cached = {"row_of", "reach", "_views"}
-        return {k: v for k, v in self.__dict__.items() if k not in cached}
+        # cached members are rebuilt on first use, and memoryviews do not pickle
+        lazy = [k for k, v in vars(type(self)).items() if isinstance(v, functools.cached_property)]
+        return {k: v for k, v in vars(self).items() if k not in lazy}
 
     @functools.cached_property
     def row_of(self) -> np.ndarray:
@@ -247,21 +252,26 @@ class GlobalSpectrumTable:
         return row_of
 
     @functools.cached_property
-    def reach(self) -> np.ndarray:
-        """The row bound of _search, read-only: -reach[i] is the largest
-        certified upper bound on a first ratio lambda_1 / lambda_0 over the
-        rows from i on (0 where none of them keeps a ratio).
-
-        That bound is not monotone in p at small primes, hence the running
-        maximum from the last row back; negated, it ascends, as
-        searchsorted needs.
-        """
-        kept = np.flatnonzero(self.lengths)
-        first = np.zeros(len(self))
-        first[kept] = _ratio_bounds(self, self.offsets[kept])[0]
-        reach = -np.maximum.accumulate(first[::-1])[::-1]
-        reach.setflags(write=False)
-        return reach
+    def ratio_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ratio_hi, ratio_lo, reach), read-only: certified upper and lower
+        bounds on the true ratio behind every kept ratio, from its row's
+        solver and truncation margins, and the row bound of _search:
+        -reach[i] is the largest ratio_hi over the rows from i on (0 where
+        none keeps a ratio), the first of a row being its largest.  ratio_hi
+        is not monotone in p at small primes, hence the running maximum;
+        negated, it ascends, as searchsorted needs."""
+        l0 = np.repeat(self.lambda0, self.lengths)
+        e = np.repeat(self.tail_bounds + _SOLVER_MARGIN, self.lengths)
+        lamk = self.kept_ratios * l0
+        # a true ratio never exceeds 1, which keeps S_hi closed under divisors
+        ratio_hi = np.minimum((lamk + e) / (l0 - e), 1.0)
+        ratio_lo = np.maximum(lamk - e, 0.0) / (l0 + e)
+        # the running maximum from the last ratio back, read at the row starts
+        suffix = np.append(np.maximum.accumulate(ratio_hi[::-1])[::-1], 0.0)
+        reach = -suffix[self.offsets[:-1]]
+        for a in (ratio_hi, ratio_lo, reach):
+            a.setflags(write=False)
+        return ratio_hi, ratio_lo, reach
 
     @functools.cached_property
     def _views(self) -> tuple[memoryview, ...]:
@@ -270,14 +280,8 @@ class GlobalSpectrumTable:
         return tuple(map(memoryview, arrays))
 
     def envelope(self) -> SpectralEnvelope:
-        """The bounds behind a certified count, computed on each call."""
-        # an unkept eigenvalue lies below floor + err, and lambda_0 >= 1
-        cap = self.floor + float(np.max(self.tail_bounds)) + _SOLVER_MARGIN
-        # lambda_1 / lambda_0 <= c_upper p^-rho; c_upper = (1+u)/(1-u) with
-        # u = p^(-tau/2) and p^-rho both fall in p
-        c_upper = best_envelope(float(self.p_max), self.params).c_upper
-        prefactor = self.base_product * math.exp(self.tail_exponent_bound)
-        return SpectralEnvelope(cap, c_upper * self.p_max**-self.params.rho, prefactor)
+        """The bounds behind a certified count, computed once by the constructor."""
+        return self._envelope
 
 
 def build_table(
@@ -390,15 +394,6 @@ def _fan_out(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return parent, rows
 
 
-def _ratio_bounds(table: GlobalSpectrumTable, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper and lower bounds on the true ratios of the kept ratios j."""
-    i = table.owner[j]
-    l0 = table.lambda0[i]
-    lamk, e = table.kept_ratios[j] * l0, table.tail_bounds[i] + _SOLVER_MARGIN
-    # a true ratio never exceeds 1, which keeps S_hi closed under divisors
-    return np.minimum((lamk + e) / (l0 - e), 1.0), np.maximum(lamk - e, 0.0) / (l0 + e)
-
-
 def _search(
     table: GlobalSpectrumTable, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -406,14 +401,16 @@ def _search(
     S_hi, and the margin.
 
     S_hi holds the n whose certified upper value, prefactor times one
-    ratio bound r_hi <= 1 per prime power, exceeds 1/t.  r_hi falls with
-    the exponent, so S_hi is closed under divisors: level L holds its n
-    with L distinct prime factors, and each appends a later prime p^k
-    while hi * r_hi(p^k) > x = 1/(t prefactor), its index one int64
-    product per power.  Primes are appended in ascending order, so a
+    ratio bound ratio_hi <= 1 per prime power, exceeds 1/t.  ratio_hi
+    falls with the exponent, so S_hi is closed under divisors: level L
+    holds its n with L distinct prime factors, and each appends a later
+    prime p^k while hi * ratio_hi(p^k) > x = 1/(t prefactor), its index one
+    int64 product per power.  Primes are appended in ascending order, so a
     point value is bit-identical to lambda_of.  Every other index has a
     factor below max(cap, beyond), so x must exceed it; the margin is
-    their quotient.  An index past 2^63 - 1 raises EnumerationInfeasible.
+    their quotient.  Every bound is read from the table: its envelope and
+    its ratio_bounds, indexed by kept ratio and row.  An index past
+    2^63 - 1 raises EnumerationInfeasible.
     """
     env = table.envelope()
     if not math.isfinite(env.prefactor):
@@ -428,8 +425,8 @@ def _search(
             f" is not above the cap {env.cap:.3g} on unkept ratios or the bound"
             f" {env.beyond:.3g} on primes above p_max={table.p_max}"
         )
-    primes, owner, offsets, ratios = table.primes, table.owner, table.offsets, table.kept_ratios
-    reach = table.reach
+    primes, offsets, ratios = table.primes, table.offsets, table.kept_ratios
+    ratio_hi, ratio_lo, reach = table.ratio_bounds
     # level 0 is n = 1, the empty product
     hi, row = np.ones(int(1.0 > x)), np.full(int(1.0 > x), -1)
     n = np.ones(hi.size, dtype=np.int64)
@@ -440,19 +437,19 @@ def _search(
         # rows to try; the product test below decides membership
         end = np.searchsorted(reach, -(x / hi), side="right")
         parent, rows = _fan_out(row + 1, end)
-        j, stop, p, m = offsets[rows], offsets[rows + 1], primes[rows], n[parent]
+        j, stop, m = offsets[rows], offsets[rows + 1], n[parent]
         levels = [(n[:0], hi[:0], val[:0], lo[:0], row[:0])]  # ends the search if none qualifies
         while j.size:
             live = j < stop
-            parent, j, stop, p, m = (a[live] for a in (parent, j, stop, p, m))
-            r_hi, r_lo = _ratio_bounds(table, j)
-            up = hi[parent] * r_hi
+            parent, rows, j, stop, m = (a[live] for a in (parent, rows, j, stop, m))
+            up = hi[parent] * ratio_hi[j]
             keep = up > x
-            parent, j, stop, p, m = (a[keep] for a in (parent, j, stop, p, m))
+            parent, rows, j, stop, m = (a[keep] for a in (parent, rows, j, stop, m))
+            p = primes[rows]
             if m.size and int(m.max()) * int(p.max()) > _INDEX_MAX and np.any(m > _INDEX_MAX // p):
                 raise EnumerationInfeasible(f"an index past {_INDEX_MAX} lies in the search set")
             m = m * p
-            levels.append((m, up[keep], val[parent] * ratios[j], lo[parent] * r_lo[keep], owner[j]))
+            levels.append((m, up[keep], val[parent] * ratios[j], lo[parent] * ratio_lo[j], rows))
             j = j + 1
         n, hi, val, lo, row = (np.concatenate(a) for a in zip(*levels))
         found.append((n, val, lo))

@@ -558,6 +558,15 @@ class TestOutputFormats:
     def test_every_command_is_covered(self):
         assert set(EVERY_COMMAND) == set(build_parser()._subparsers._group_actions[0].choices)
 
+    def test_one_parser_serves_every_call(self):
+        # main reuses one parser, and a parse leaves nothing behind for the next
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(EVERY_COMMAND["counting"])
+        second = parser.parse_args(EVERY_COMMAND["kappa"])
+        assert first.command == "counting" and second.command == "kappa"
+        assert not hasattr(second, "t") and second.func is not first.func
+
     @pytest.mark.parametrize("command", list(EVERY_COMMAND))
     def test_csv_and_json_carry_the_same_rows(self, command, capsys, tmp_path):
         texts = {}

@@ -407,25 +407,34 @@ class TestCounting:
         table = build_table(P25, 2000)
         before = len(pickle.dumps(table))
         first = counting_mu(table, 300.0)
-        assert "reach" in table.__dict__ and not table.reach.flags.writeable
+        bounds = table.ratio_bounds
+        assert "ratio_bounds" in table.__dict__
+        assert not any(a.flags.writeable for a in bounds)
         assert counting_mu(table, 300.0) == first
+        enumerate_spectrum(table, 1000)
+        lambda_of(6, table)
+        assert table.ratio_bounds is bounds
         back = pickle.loads(pickle.dumps(table))
-        assert "reach" not in back.__dict__
+        assert "ratio_bounds" not in back.__dict__ and "row_of" not in back.__dict__
         assert counting_mu(back, 300.0) == first
         assert len(pickle.dumps(table)) == before
 
     def test_search_bound_matches_row_loop(self, table_small):
-        # -reach[i] is the largest certified upper bound on a first ratio
-        # lambda_1 / lambda_0 over the rows from i on
-        t = table_small
-        best, want = 0.0, np.zeros(len(t))
-        for i in reversed(range(len(t))):
-            if t.lengths[i]:
-                l0, e = t.lambda0[i], t.tail_bounds[i] + spectrum._SOLVER_MARGIN
-                lamk = t.kept_ratios[t.offsets[i]] * l0
-                best = max(best, min((lamk + e) / (l0 - e), 1.0))
-            want[i] = -best
-        assert np.array_equal(t.reach, want)
+        _check_bounds_against_row_loop(table_small)
+
+    @pytest.mark.parametrize("floor", [0.3, 0.9])
+    def test_search_bound_with_rows_that_keep_none(self, floor):
+        # most rows (floor 0.3) or all of them (0.9) keep no ratio
+        _check_bounds_against_row_loop(build_table(P25, 50, target_floor=floor))
+
+    @pytest.mark.parametrize("name", ["table_small", "table_counting", "table_half_1e6"])
+    def test_stored_envelope_is_the_formula(self, name, request):
+        table = request.getfixturevalue(name)
+        env, p_max, params = table.envelope(), table.p_max, table.params
+        assert table.envelope() is env
+        assert env.cap == _envelope_loop(table)
+        assert env.beyond == best_envelope(p_max, params).c_upper * p_max**-params.rho
+        assert env.prefactor == table.base_product * math.exp(table.tail_exponent_bound)
 
     @pytest.mark.parametrize("p", [2003, 2011, 10_007, 1_000_003])
     def test_beyond_bounds_primes_above_p_max(self, p, table_small):
@@ -443,6 +452,27 @@ class TestCounting:
         assert lambda_of(6, table).value > 0
         with pytest.raises(CertificateUnavailable):
             counting_mu(table, 10.0)
+
+
+def _check_bounds_against_row_loop(t):
+    """ratio_hi and ratio_lo equal a per-ratio loop bit for bit, and
+    -reach[i] is the largest ratio_hi of a first ratio lambda_1 / lambda_0
+    over the rows from i on."""
+    hi, lo = np.empty(t.kept_ratios.size), np.empty(t.kept_ratios.size)
+    best, want = 0.0, np.zeros(len(t))
+    for i in reversed(range(len(t))):
+        l0, e = t.lambda0[i], t.tail_bounds[i] + spectrum._SOLVER_MARGIN
+        for j in range(t.offsets[i], t.offsets[i + 1]):
+            lamk = t.kept_ratios[j] * l0
+            hi[j] = min((lamk + e) / (l0 - e), 1.0)
+            lo[j] = max(lamk - e, 0.0) / (l0 + e)
+        if t.lengths[i]:
+            best = max(best, hi[t.offsets[i]])
+        want[i] = -best
+    ratio_hi, ratio_lo, reach = t.ratio_bounds
+    assert ratio_hi.tobytes() == hi.tobytes()
+    assert ratio_lo.tobytes() == lo.tobytes()
+    assert np.array_equal(reach, want)
 
 
 @pytest.fixture(scope="module")
@@ -564,7 +594,6 @@ class TestFlatTable:
         t = table_small
         assert t.offsets[0] == 0 and t.offsets[-1] == t.kept_ratios.size
         assert np.all(t.lengths >= 1)
-        assert np.array_equal(t.owner, np.repeat(np.arange(len(t)), t.lengths))
         for i in range(len(t)):
             r = _row_ratios(t, i)
             assert np.all(np.diff(r) <= 0) and 0 < r[0] < 1
@@ -585,6 +614,7 @@ class TestFlatTable:
         table.envelope()
         kappa_numeric(P25, table=table)
         assert "row_of" not in table.__dict__
+        assert "ratio_bounds" not in table.__dict__
 
     def test_row_index_built_on_first_lookup_and_read_only(self):
         table = build_table(P25, 2000)
