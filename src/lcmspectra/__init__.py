@@ -10,9 +10,11 @@ generalized prime system.
 """
 
 from .arith import (
+    PrimePowerIndex,
     SpectralParams,
     factorize,
     lcm_grid,
+    prime_power_index,
     primes_up_to,
     zeta_real,
 )

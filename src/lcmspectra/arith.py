@@ -1,17 +1,20 @@
-"""Exponent pairs, primes, the LCM grid and real zeta.
+"""Exponent pairs, primes, the prime-power index, the LCM grid and real zeta.
 
 Foundation layer for the rest of the toolkit.  Everything here is a pure
-function of its inputs, so all of it is safe to call concurrently.  The
-matrix entries themselves are spectrum.entry_matrix, and the truncated
-power sum behind the Toeplitz Gram lives in toeplitz; factorize is trial
-division, kept as the independent oracle of the sieve-based code.
+function of its inputs, so all of it is safe to call concurrently; the
+prime-power index is cached for its latest limit.  The matrix entries
+themselves are spectrum.entry_matrix, and the truncated power sum behind
+the Toeplitz Gram lives in toeplitz; factorize is trial division, kept
+as the independent oracle of the sieve-based code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +22,9 @@ from .errors import InvalidRegime
 
 __all__ = [
     "SpectralParams",
+    "PrimePowerIndex",
     "primes_up_to",
+    "prime_power_index",
     "factorize",
     "lcm_grid",
     "zeta_real",
@@ -97,6 +102,61 @@ def primes_up_to(limit: int) -> np.ndarray:
         chunks.append(found)
         lo = hi
     return np.concatenate(chunks)
+
+
+class PrimePowerIndex(NamedTuple):
+    """The factoring index of prime_power_index; every array is read-only."""
+
+    primes: np.ndarray  # the P primes <= limit, ascending: powers[:P]
+    power_of: np.ndarray  # int32 slot of the full power of m's least prime factor
+    powers: np.ndarray  # p^k per slot
+    rows: np.ndarray  # the row of p (its place in primes) of slot P + s
+    exponents: np.ndarray  # k >= 2 of slot P + s
+
+
+# typed: a float limit must reach the TypeError, not the cached int's index
+@functools.lru_cache(maxsize=1, typed=True)
+def prime_power_index(limit: int) -> PrimePowerIndex:
+    """Factoring index of the integers up to limit, one slot per prime power.
+
+    Slot i < P = pi(limit) is the i-th prime, exponent 1; the powers p^k
+    <= limit with k >= 2 follow, by p, then k, ascending (236 of them at
+    10^6), slot P + s with rows[s] and exponents[s].  For 2 <= m <= limit,
+    power_of[m] is the slot of p^k, the full power of m's least prime
+    factor p that divides m (power_of[0] = power_of[1] = -1), so
+    m // powers[power_of[m]] has only larger prime factors.  A composite m
+    has p <= sqrt(limit), so the root primes write it, in descending
+    order, each with its p*p::p slice and then its p^k::p^k slices: the
+    least prime writes last, its highest power dividing m last of all.
+    power_of takes 4 bytes per integer (3.8 MB at 10^6, 38 MB at 10^7); it
+    depends on limit alone, so the index of the latest limit is cached and
+    every caller at that limit shares it.
+    """
+    limit = _integer(limit, "limit")
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    primes = primes_up_to(limit)
+    P = len(primes)
+    roots = primes[: np.searchsorted(primes, math.isqrt(limit), "right")].tolist()
+    # the slots past the primes: (row, k) of every p^k <= limit, k >= 2
+    high = [(i, k) for i, p in enumerate(roots) for k in range(2, limit.bit_length())
+            if p**k <= limit]
+    rows = np.array([i for i, _ in high], dtype=np.int64)
+    exponents = np.array([k for _, k in high], dtype=np.int64)
+    powers = np.concatenate((primes, primes[rows] ** exponents))
+    slot = {q: s for s, q in enumerate(powers[P:].tolist(), P)}
+    power_of = np.empty(limit + 1, dtype=np.int32)
+    power_of[:2] = -1
+    power_of[primes] = np.arange(P, dtype=np.int32)
+    for i, p in reversed(list(enumerate(roots))):
+        power_of[p * p :: p] = i
+        q = p * p
+        while q <= limit:
+            power_of[q::q] = slot[q]
+            q *= p
+    for a in (powers, power_of, rows, exponents):
+        a.setflags(write=False)
+    return PrimePowerIndex(powers[:P], power_of, powers, rows, exponents)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpectralParams, _exact_sum, _integer, lcm_grid, primes_up_to
+from .arith import (
+    SpectralParams,
+    _exact_sum,
+    _integer,
+    lcm_grid,
+    prime_power_index,
+    primes_up_to,
+)
 from .errors import (
     CertificateUnavailable,
     EnumerationInfeasible,
@@ -84,12 +91,22 @@ _WAVE_ENTRY_SWEEPS = 2**19
 _INDEX_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GlobalEigenvalue:
     """One eigenvalue lambda_n with its index n."""
 
     n: int
     value: float
+
+    def __init__(self, n: int, value: float):
+        # the slots' own setters: the generated frozen __init__ goes
+        # through object.__setattr__ per field, about 1.5x slower
+        _set_n(self, n)
+        _set_value(self, value)
+
+
+_set_n = GlobalEigenvalue.n.__set__
+_set_value = GlobalEigenvalue.value.__set__
 
 
 class RankedSpectrum(Sequence):
@@ -169,13 +186,15 @@ def _product_tail_bound(params: SpectralParams, p_max: int) -> float:
 class GlobalSpectrumTable:
     """Per-prime spectra below a cutoff, with the certificate built on them.
 
-    The spectra are stored flat, in compressed-row form: row i (the i-th
-    prime, ascending) owns kept_ratios[offsets[i]:offsets[i + 1]], the
-    ratios lambda_k / lambda_0 above the floor for k >= 1 in descending
-    order, and lambda0[i] is its top eigenvalue; lengths[i] is the row's
-    length and trunc_orders[i] the order the row was solved at, as
-    build_table computed it, or as load_table computes it from the primes
-    it read.  Every array is read-only.
+    The primes must be every prime up to p_max, ascending (lambda_of
+    raises ValueError otherwise).  The spectra are stored flat, in
+    compressed-row form: row i (the i-th prime) owns
+    kept_ratios[offsets[i]:offsets[i + 1]], the ratios lambda_k / lambda_0
+    above the floor for k >= 1 in descending order, and lambda0[i] is its
+    top eigenvalue; lengths[i] is the row's length and trunc_orders[i] the
+    order the row was solved at, as build_table computed it, or as
+    load_table computes it from the primes it read.  Every array is
+    read-only.
 
     base_product is Lambda_0, the product of lambda0 over the table's
     primes, as exp of the correctly rounded sum of their logs
@@ -186,14 +205,16 @@ class GlobalSpectrumTable:
     t_bound is then inf and only tail-certified queries fail.  The
     constructor computes both, and the envelope() built on them.  Three
     cached properties are computed once, on first use, kept read-only and
-    left out of a pickle: row_of, the row of the least prime factor of
-    every integer up to p_max (4 bytes per integer: 3.8 MB at p_max = 10^6,
-    38 MB and about 0.3 s at 10^7), which only lambda_of reads;
+    left out of a pickle: power_ratio, the kept ratio of every prime power
+    p^k <= p_max in the slots of arith.prime_power_index(p_max) (8 bytes
+    per slot: 0.63 MB at p_max = 10^6), which only lambda_of reads;
     ratio_bounds, the bounds on every kept ratio and the row bound, which
     only the search behind ranking and counting reads; and _views, the
-    memoryviews lambda_of reads its arrays through.  Queries may run
-    concurrently; if two threads use a table for the first time at once,
-    a value may be computed twice, which does no harm.
+    memoryviews lambda_of reads its arrays and the index through.  The
+    index itself, 4 bytes per integer up to p_max, belongs to no table:
+    it is cached for one p_max at a time and shared by every table there.
+    Queries may run concurrently; if two threads use a table for the
+    first time at once, a value may be computed twice, which does no harm.
     """
 
     def __init__(self, params, p_max, floor, primes, lambda0, offsets, kept_ratios, trunc_orders):
@@ -234,24 +255,6 @@ class GlobalSpectrumTable:
         return {k: v for k, v in vars(self).items() if k not in lazy}
 
     @functools.cached_property
-    def row_of(self) -> np.ndarray:
-        """row_of[m] is the row of the least prime factor of m, for
-        2 <= m <= p_max (int32; row_of[0] = row_of[1] = -1).
-
-        Every composite m <= p_max has a least prime factor p <= sqrt(p_max)
-        and m >= p^2, so marking p^2, p^2 + p, ... for those primes in
-        descending order leaves the least one last.
-        """
-        row_of = np.empty(self.p_max + 1, dtype=np.int32)
-        row_of[:2] = -1
-        row_of[self.primes] = np.arange(len(self.primes), dtype=np.int32)
-        roots = self.primes[: np.searchsorted(self.primes, math.isqrt(self.p_max), "right")]
-        for i, p in reversed(list(enumerate(roots.tolist()))):
-            row_of[p * p :: p] = i
-        row_of.setflags(write=False)
-        return row_of
-
-    @functools.cached_property
     def ratio_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ratio_hi, ratio_lo, reach), read-only: certified upper and lower
         bounds on the true ratio behind every kept ratio, from its row's
@@ -274,9 +277,35 @@ class GlobalSpectrumTable:
         return ratio_hi, ratio_lo, reach
 
     @functools.cached_property
+    def power_ratio(self) -> np.ndarray:
+        """power_ratio[slot], read-only: the kept ratio lambda_k / lambda_0
+        of the prime power p^k in that slot of arith.prime_power_index(p_max),
+        or 0.0 where lambda_k lies below the floor (a kept ratio is never
+        0).  Raises ValueError unless the table's primes are every prime up
+        to p_max, the index's first slots."""
+        index = prime_power_index(self.p_max)
+        if not np.array_equal(self.primes, index.primes):
+            raise ValueError(
+                f"the table's {len(self.primes)} primes are not the {len(index.primes)}"
+                f" primes up to p_max={self.p_max}"
+            )
+        P = len(self.primes)
+        rows = np.concatenate((np.arange(P), index.rows))
+        k = np.concatenate((np.ones(P, dtype=np.int64), index.exponents))
+        kept = k <= self.lengths[rows]
+        ratio = np.zeros(rows.size)
+        ratio[kept] = self.kept_ratios[self.offsets[rows[kept]] + k[kept] - 1]
+        ratio.setflags(write=False)
+        return ratio
+
+    @functools.cached_property
     def _views(self) -> tuple[memoryview, ...]:
-        """The arrays lambda_of reads, as memoryviews (Python scalars, no copy)."""
-        arrays = (self.primes, self.offsets, self.lengths, self.kept_ratios, self.row_of)
+        """The arrays lambda_of reads, as memoryviews (Python scalars, no
+        copy): the table's rows, for trial division, then the prime-power
+        index at p_max and power_ratio."""
+        index = prime_power_index(self.p_max)
+        arrays = (self.primes, self.offsets, self.lengths, self.kept_ratios, self.power_ratio,
+                  index.power_of, index.powers, index.rows, index.exponents)
         return tuple(map(memoryview, arrays))
 
     def envelope(self) -> SpectralEnvelope:
@@ -347,33 +376,35 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
     """lambda_n via the product formula: Lambda_0 times per-prime ratios.
 
     While the cofactor of n exceeds p_max it is trial-divided by the
-    table's primes; from there on each least prime factor is read from
-    table.row_of.  The ratios are multiplied in ascending-prime order, as
-    in the search behind ranking and counting, and the smallest prime
-    without a usable ratio raises.  The table's arrays are read through
-    memoryviews that the table keeps (Python scalars, no copy).  n must be
-    an integer (a float raises TypeError).
+    table's primes; from there on each full power p^k of its least prime
+    factor is read from arith.prime_power_index(p_max), shared by every
+    table at that cutoff, and its ratio from table.power_ratio: three
+    reads per prime power.  The first call on a table builds both (the
+    index only if no table at this p_max has).  The ratios are multiplied
+    in ascending-prime order, as in the search behind ranking and
+    counting, and the smallest prime without a usable ratio raises.  The
+    arrays are read through memoryviews that the table keeps (Python
+    scalars, no copy).  n must be an integer (a float raises TypeError);
+    a table whose primes are not every prime up to p_max raises
+    ValueError.
     """
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    primes, offsets, lengths, ratios, row_of = table._views
+    (primes, offsets, lengths, ratios, power_ratio,
+     power_of, powers, rows, exponents) = table._views
     p_max = table.p_max
     value = table.base_product
     m = n
     i = 0  # trial division has removed every prime below primes[i]
-    while m > 1:
-        if m <= p_max:
-            i = row_of[m]
-        else:
-            while i < len(primes) and m % primes[i] and primes[i] ** 2 <= m:
-                i += 1
-            if i == len(primes) or m % primes[i]:
-                # a prime above p_max, or a product of such primes
-                raise PrimeOutOfRange(
-                    f"factor {m} of n={n} has no prime factor up to the table cutoff"
-                    f" {p_max}"
-                )
+    while m > p_max:
+        while i < len(primes) and m % primes[i] and primes[i] ** 2 <= m:
+            i += 1
+        if i == len(primes) or m % primes[i]:
+            # a prime above p_max, or a product of such primes
+            raise PrimeOutOfRange(
+                f"factor {m} of n={n} has no prime factor up to the table cutoff {p_max}"
+            )
         p = primes[i]
         k = 0
         while m % p == 0:
@@ -382,6 +413,15 @@ def lambda_of(n: int, table: GlobalSpectrumTable) -> GlobalEigenvalue:
         if k > lengths[i]:
             raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
         value *= ratios[offsets[i] + k - 1]
+    while m > 1:
+        j = power_of[m]
+        r = power_ratio[j]
+        if not r:
+            s = j - len(primes)
+            p, k = (primes[rows[s]], exponents[s]) if s >= 0 else (primes[j], 1)
+            raise FloorTooHigh(f"lambda_{k}(E_{p}) lies below the floor {table.floor}")
+        value *= r
+        m //= powers[j]
     return GlobalEigenvalue(n, value)
 
 

@@ -16,7 +16,7 @@ from lcmspectra import (
     primes_up_to,
     zeta_real,
 )
-from lcmspectra.arith import _exact_sum
+from lcmspectra.arith import _exact_sum, prime_power_index
 from lcmspectra.toeplitz import _power_sums
 
 
@@ -82,12 +82,40 @@ class TestPrimes:
         assert got.dtype == np.int64
         assert np.array_equal(got, np.flatnonzero(flags))
 
-    def test_spf_table(self, table_small):
-        # the table's least-prime-factor row index against trial division
-        primes, row_of = table_small.primes, table_small.row_of
-        assert row_of.size == table_small.p_max + 1
-        for m in range(2, table_small.p_max + 1):
-            assert primes[row_of[m]] == factorize(m)[0][0]
+    def test_spf_table(self):
+        # the full power of the least prime factor against trial division,
+        # at the edges, at 2^10 and one past it, and at the tests' p_max
+        for N in (2, 3, 4, 1024, 1025, 2000):
+            index = prime_power_index(N)
+            assert index.power_of.size == N + 1
+            for m in range(2, N + 1):
+                p, k = factorize(m)[0]
+                assert index.powers[index.power_of[m]] == p**k, (N, m)
+
+    def test_prime_power_slots(self):
+        index = prime_power_index(2000)
+        P = len(index.primes)
+        assert np.array_equal(index.primes, primes_up_to(2000))
+        assert np.array_equal(index.powers[:P], index.primes)
+        # then every p^k <= 2000 with k >= 2, by p, then k
+        want = [(p**k, p, k) for p in oracle_primes(44) for k in range(2, 11) if p**k <= 2000]
+        got = zip(index.powers[P:].tolist(), index.primes[index.rows].tolist(),
+                  index.exponents.tolist())
+        assert list(got) == want
+        assert index.power_of.dtype == np.int32 and index.power_of[:2].tolist() == [-1, -1]
+        assert not any(a.flags.writeable for a in index)
+
+    def test_prime_power_index_cached_for_the_latest_limit(self):
+        prime_power_index.cache_clear()
+        first = prime_power_index(2000)
+        assert prime_power_index(2000) is first
+        prime_power_index(1000)
+        assert prime_power_index(2000) is not first
+        assert prime_power_index.cache_info().currsize == 1
+        with pytest.raises(ValueError):
+            prime_power_index(1)
+        with pytest.raises(TypeError):
+            prime_power_index(2000.0)
 
 
 class TestFactorize:

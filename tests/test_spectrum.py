@@ -213,6 +213,58 @@ class TestLambdaOf:
         with pytest.raises(TypeError, match="n must be an integer"):
             lambda_of(n, table_small)
 
+    @pytest.mark.parametrize("floor", [1e-3, 0.3])
+    def test_unkept_powers_match_factorize_loop(self, floor):
+        # power_ratio reads 0.0 at k >= 2 slots and at rows that keep no ratio
+        table = build_table(P25, 2000, target_floor=floor)
+        lambda_of(1, table)
+        index, ratio = spectrum.prime_power_index(2000), table.power_ratio
+        P = len(table.primes)
+        assert np.any(ratio[P:] == 0.0) and np.any(ratio[P:] > 0.0) == (floor < 0.1)
+        assert np.any(table.lengths == 0) and np.array_equal(ratio[:P] == 0.0, table.lengths == 0)
+        assert index.powers.size > P
+        got = [_outcome(_lambda_value, n, table) for n in range(1, 20_001)]
+        ref = [_outcome(_lambda_of_factorize, n, table) for n in range(1, 20_001)]
+        assert got == ref and FloorTooHigh in got
+
+    @pytest.mark.parametrize(
+        "floor, n, text",
+        [
+            # read from the prime-power index: n <= p_max, or a cofactor that is
+            (0.3, 12, "lambda_2(E_2) lies below the floor 0.3"),
+            (1e-3, 4096, "lambda_12(E_2) lies below the floor 0.001"),
+            (1e-3, 4 * 1999, "lambda_1(E_1999) lies below the floor 0.001"),
+            # trial division: the cofactor still exceeds p_max = 2000
+            (0.3, 2**4 * 2003, "lambda_4(E_2) lies below the floor 0.3"),
+            (1e-3, 8 * 1999**2, "lambda_2(E_1999) lies below the floor 0.001"),
+        ],
+        ids=["index", "index-high-power", "index-cofactor", "trial", "trial-square"],
+    )
+    def test_floor_error_text(self, floor, n, text):
+        table = build_table(P25, 2000, target_floor=floor)
+        with pytest.raises(FloorTooHigh) as info:
+            lambda_of(n, table)
+        assert str(info.value) == text
+
+    def test_records_frozen_and_hashable(self, table_small):
+        ev = lambda_of(12, table_small)
+        assert type(ev.n) is int and type(ev.value) is float
+        assert (ev.n, ev.value) == (12, _lambda_of_factorize(12, table_small))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.value = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.n = 2
+        assert [f.name for f in dataclasses.fields(ev)] == ["n", "value"]
+        twin = dataclasses.replace(ev)
+        assert twin == ev and twin is not ev and hash(twin) == hash(ev)
+        assert ev == GlobalEigenvalue(12, ev.value) and ev != lambda_of(6, table_small)
+        assert dataclasses.replace(ev, n=6) == GlobalEigenvalue(6, ev.value)
+        assert repr(ev) == f"GlobalEigenvalue(n=12, value={ev.value!r})"
+        assert len({ev, twin, lambda_of(6, table_small)}) == 2
+        back = pickle.loads(pickle.dumps(ev))
+        assert back == ev and type(back.n) is int and type(back.value) is float
+        assert not hasattr(ev, "__dict__")
+
 
 class TestEnumerate:
     def test_first_entry_is_n1(self, table_small):
@@ -415,7 +467,7 @@ class TestCounting:
         lambda_of(6, table)
         assert table.ratio_bounds is bounds
         back = pickle.loads(pickle.dumps(table))
-        assert "ratio_bounds" not in back.__dict__ and "row_of" not in back.__dict__
+        assert "ratio_bounds" not in back.__dict__ and "power_ratio" not in back.__dict__
         assert counting_mu(back, 300.0) == first
         assert len(pickle.dumps(table)) == before
 
@@ -610,32 +662,60 @@ class TestFlatTable:
         assert np.array_equal(t.trunc_orders, truncation_order(t.primes, t.params, t.floor))
 
     def test_kappa_path_builds_no_row_index(self):
+        spectrum.prime_power_index.cache_clear()
         table = build_table(P25, 2000)
         table.envelope()
         kappa_numeric(P25, table=table)
-        assert "row_of" not in table.__dict__
+        assert spectrum.prime_power_index.cache_info().currsize == 0
+        assert "power_ratio" not in table.__dict__
         assert "ratio_bounds" not in table.__dict__
 
     def test_row_index_built_on_first_lookup_and_read_only(self):
+        spectrum.prime_power_index.cache_clear()
         table = build_table(P25, 2000)
         lambda_of(6, table)
-        assert "row_of" in table.__dict__
-        assert not table.row_of.flags.writeable
-        assert table.row_of.dtype == np.int32
+        assert spectrum.prime_power_index.cache_info().currsize == 1
+        assert "power_ratio" in table.__dict__
+        index = spectrum.prime_power_index(2000)
+        assert not any(a.flags.writeable for a in (*index, table.power_ratio))
+        assert index.power_of.dtype == np.int32
+        assert table.power_ratio.shape == index.powers.shape
+        # a second table at the same p_max shares the index
+        other = build_table(P25, 2000, target_floor=1e-3)
+        lambda_of(6, other)
+        assert spectrum.prime_power_index.cache_info().misses == 1
+        assert spectrum.prime_power_index(2000) is index
 
     def test_ranking_builds_no_row_index(self):
+        spectrum.prime_power_index.cache_clear()
         table = build_table(P25, 2000)
         enumerate_spectrum(table, 1000)
-        assert "row_of" not in table.__dict__
+        counting_mu(table, 300.0)
+        assert spectrum.prime_power_index.cache_info().currsize == 0
+        assert "power_ratio" not in table.__dict__
         lambda_of(6, table)
-        assert "row_of" in table.__dict__
+        assert spectrum.prime_power_index.cache_info().currsize == 1
+        assert "power_ratio" in table.__dict__
 
     def test_pickles_after_first_use(self):
         table = build_table(P25, 2000)
-        want = lambda_of(6, table).value
+        ns = (1, 6, 1999, 2**9 * 3, 4 * 1999)
+        want = [lambda_of(n, table).value for n in ns]
         back = pickle.loads(pickle.dumps(table))
-        assert "row_of" not in back.__dict__
-        assert lambda_of(6, back).value == want
+        assert "power_ratio" not in back.__dict__ and "_views" not in back.__dict__
+        assert [lambda_of(n, back).value for n in ns] == want
+
+    def test_rejects_primes_that_skip_a_prime(self):
+        # rows for the first 100 primes only, at p_max = 2000
+        t = build_table(P25, 2000)
+        end = int(t.offsets[100])
+        short = spectrum.GlobalSpectrumTable(
+            t.params, t.p_max, t.floor, t.primes[:100], t.lambda0[:100], t.offsets[:101],
+            t.kept_ratios[:end], t.trunc_orders[:100],
+        )
+        for n in (6, 997, 1999):
+            with pytest.raises(ValueError, match="100 primes are not the 303 primes up to p_max=2000"):
+                lambda_of(n, short)
 
     def test_rows_match_single_block_solve(self, table_small):
         for p in (2, 3, 97, 1999):
