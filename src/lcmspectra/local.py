@@ -12,7 +12,10 @@ wave of consecutive primes.  The solve is zero-shift dqd with its sweeps
 run as a wavefront: every sweep in flight advances by one position per
 numpy step, so a batch whose largest order is K costs about K + 2S numpy
 steps for S sweeps rather than K S, at the price of finishing the
-(K - 1) // 2 sweeps in flight when the stopping test passes.  A base's
+(K - 1) // 2 sweeps in flight when the stopping test passes.  The
+factor is stored split by the parity of its positions, so each step
+reads and writes one contiguous block of rows per parity, and a narrow
+batch pays a few ufunc calls per step rather than one per row.  A base's
 eigenvalues come out the same to the bit whatever batch it is solved
 in, whatever the orders and parameter points of the other bases.  All
 returned values are immutable and safe to share.
@@ -194,11 +197,14 @@ def block_eigenvalues(p, params: Params, K) -> np.ndarray:
     The sweeps run as a wavefront: sweep s takes its step at position i
     at time 2s + i, and reads only what sweep s - 1 wrote at positions i
     and i + 1.  So at each time step the sweeps in flight sit at
-    positions of one parity and advance together as one strided
-    operation on position-major (K_top + 1, n) arrays, each sweep doing
-    the floating-point operations of a sequential sweep in the same
-    order.  The running d and the sweep's convergence flag move along
-    with it.  The solve stops launching sweeps once one completes with
+    positions of one parity and advance together, each sweep doing the
+    floating-point operations of a sequential sweep in the same order.
+    q, e and d are stored split by parity, position i at row i >> 1 of
+    a (2, K_top // 2 + 1, n) array for n bases: the positions in flight
+    are then one contiguous block of rows, and the positions after them
+    the same block of the other parity, one row on when the step is odd.
+    The running d and each base's convergence flag move along with the
+    sweep.  The solve stops launching sweeps once one completes with
     every e_i <= tol q_(i+1); the (K_top - 1) // 2 sweeps already in
     flight (fewer at the sweep cap) then run to completion.  By then a
     base's q have settled: further sweeps leave them unchanged to the bit.
@@ -208,12 +214,16 @@ def block_eigenvalues(p, params: Params, K) -> np.ndarray:
     on every row tried at K >= 3 (truncation orders are never below 3),
     while at K = 2 the last bit of an eigenvalue can still move.
 
-    The eigenvalues are the reciprocals of the final q.  dqd leaves them
-    rising along the positions, but the stopping test bounds the
-    off-diagonal, not the order of the diagonal.  So when the batch has
-    no padding and every row does rise, the rows are returned reversed,
-    which is exactly their descending sort and makes no copy; otherwise
-    they are sorted.
+    The eigenvalues are the reciprocals of the final q, written into d's
+    memory as a (K_top, n) array with position K_top - 1 - c in row c.
+    The result is its transpose: each column, one rank across the bases,
+    is contiguous, the layout the per-wave floor cut and ratio
+    extraction read fastest.  dqd leaves the eigenvalues rising along the
+    positions, but the stopping test bounds the off-diagonal, not the
+    order of the diagonal.  So when the batch has no padding and every
+    row does rise, the reversed positions are already the descending
+    rows and no sort runs; otherwise the padding is zeroed and the rows
+    are sorted.
 
     Vectorises over p: an array of bases gives shape p.shape + (K_top,).
     Raises ValueError for a base that is not a finite p > 1, a sequence
@@ -236,28 +246,43 @@ def block_eigenvalues(p, params: Params, K) -> np.ndarray:
             f"at the smallest base p = {float(p.min())!r}"
         )
     logp = np.log(p)
+    n = logp.size
     with np.errstate(over="ignore"):
         one_minus_x = -np.expm1(-tau * logp)
-    # row i of the position-major arrays is position i of the reversed
-    # factor: squared diagonal q_i, and the squared off-diagonal before it
-    # as e_i (e_0 = 0); rows from a base's order on are its padding, and
-    # row K is a zero pad read by the last step.  They are filled in
-    # place, since with d they are a table build's peak.
-    jr = orders - 1 - np.arange(K)[:, None]
-    pad = jr < 0
-    q = np.zeros((K + 1, logp.size))
+    # position i of the reversed factor is row i >> 1 of parity i & 1 in
+    # the (2, K // 2 + 1, n) arrays: squared diagonal q_i, and the squared
+    # off-diagonal before it as e_i (e_0 = 0).  Positions from a base's
+    # order on are its padding; position K is a zero pad read by the last
+    # step, and K + 1, there when K is even, a zero that nothing reads.
+    # Positions 1 to K - 1 are filled in place, one parity at a time, since
+    # with d they are a table build's peak, and the first stopping test
+    # reads each parity as soon as it is filled.
+    R = K // 2 + 1
+    q = np.zeros((2, R, n))
     e = np.zeros_like(q)
+    padded = bool(orders.min() < K)
+    converged = True
     with np.errstate(over="ignore"):
-        for rows, j, shift in ((q[:K], jr, 0.0), (e[1:K], jr[:-1], tau)):
-            np.multiply(j, rho, out=rows)
-            rows -= shift
-            np.exp(np.multiply(rows, logp, out=rows), out=rows)
-            rows /= one_minus_x
-        q[0] = np.exp(rho * (orders - 1) * logp)
-    np.copyto(q[:K], 1.0, where=pad)
-    np.copyto(e[1:K], 0.0, where=pad[1:])
+        for par in (0, 1):
+            rows = slice(1 - par, (K + 1 - par) // 2)
+            # order - i, the exponent of e_i; q_i's is one less
+            j = orders - np.arange(2 * rows.start + par, K, 2)[:, None]
+            q_rows, e_rows = q[par, rows], e[par, rows]
+            np.multiply(j, rho, out=e_rows)
+            e_rows -= tau
+            j -= 1
+            np.multiply(j, rho, out=q_rows)
+            for x in (q_rows, e_rows):
+                np.exp(np.multiply(x, logp, out=x), out=x)
+                x /= one_minus_x
+            if padded:
+                pad = j < 0
+                np.copyto(q_rows, 1.0, where=pad)
+                np.copyto(e_rows, 0.0, where=pad)
+            converged &= bool(np.all(e_rows <= _DQD_TOL * q_rows))
+        q[0, 0] = np.exp(rho * (orders - 1) * logp)
     if not np.all(np.isfinite(q)):
-        i = int(np.argmin(np.isfinite(q).all(axis=0)))
+        i = int(np.argmin(np.isfinite(q).all(axis=(0, 1))))
         rho_i = rho if np.isscalar(rho) else rho[i]
         raise OverflowError(
             f"p^(rho (K-1)) overflows double precision at K={int(orders[i])}, "
@@ -265,43 +290,60 @@ def block_eigenvalues(p, params: Params, K) -> np.ndarray:
         )
     max_sweeps = _sweep_cap(rho, logp, K)
     # d[i] and flag[i] belong to the sweep at position i: its running d,
-    # and whether some pair it wrote still has e_i > tol q_(i+1)
+    # and for each base whether some pair the sweep wrote still has
+    # e_i > tol q_(i+1).  Q, E, D and F are the (R, n) halves of q, e, d
+    # and flag, one per parity, and scaled holds tol q_i for the test.
     d = np.empty_like(q)
-    flag = np.zeros(K + 1, dtype=bool)
-    converged = bool(np.all(e[1:K] <= _DQD_TOL * q[1:K]))
+    flag = np.zeros(q.shape, dtype=bool)
+    scaled = np.empty((R, n))
+    Q, E, D, F = tuple(q), tuple(e), tuple(d), tuple(flag)
     launched = done = 0
     t_now = 0
     while done < launched or not (converged or launched == max_sweeps):
         if t_now % 2 == 0 and not (converged or launched == max_sweeps):
-            d[0] = q[0]
+            D[0][0] = Q[0][0]
             launched += 1
-        # the newest sweep sits at lo, the oldest unfinished one at hi
+        # the newest sweep sits at lo, the oldest unfinished one at hi: rows
+        # a to b - 1 of parity par, and the positions after them are the
+        # same rows of the other parity, one row on when par is 1
         lo, hi = t_now - 2 * (launched - 1), t_now - 2 * done
-        here, ahead = slice(lo, hi + 1, 2), slice(lo + 1, hi + 2, 2)
-        qi = np.add(d[here], e[ahead], out=q[here])
+        par, a, b = t_now % 2, lo >> 1, (hi >> 1) + 1
+        here, ahead = slice(a, b), slice(a + par, b + par)
+        qi, d_here = Q[par][here], D[par][here]
+        e_ahead, t = E[1 - par][ahead], D[1 - par][ahead]
+        np.add(d_here, e_ahead, out=qi)
         # t = q_(i+1) / q_i goes where the sweep's next d is due
-        t = np.divide(q[ahead], qi, out=d[ahead])
-        e_ahead = e[ahead]
+        np.divide(Q[1 - par][ahead], qi, out=t)
         np.multiply(e_ahead, t, out=e_ahead)
-        t *= d[here]
+        np.multiply(t, d_here, out=t)
         if not converged:
             # once the stopping test has passed the flags decide nothing
-            flag[ahead] = flag[here] | (e[here] > _DQD_TOL * qi).any(axis=1)
+            tol_q, flag_ahead = scaled[: b - a], F[1 - par][ahead]
+            np.multiply(_DQD_TOL, qi, out=tol_q)
+            np.greater(E[par][here], tol_q, out=flag_ahead)
+            np.logical_or(flag_ahead, F[par][here], out=flag_ahead)
         if hi == K - 1:
-            converged = converged or not flag[K]
+            converged = converged or not F[K % 2][K // 2].any()
             done += 1
         t_now += 1
     if not converged:
         raise EigensolverError(
             f"dqd failed to converge within {max_sweeps} sweeps at K={K}, smallest base "
-            f"p={float(p.min()):.17g}, {logp.size} bases in the batch"
+            f"p={float(p.min()):.17g}, {n} bases in the batch"
         )
-    del d, e  # freed before a sort copies q
-    lam = np.divide(1.0, q[:K], out=q[:K])
-    if not pad.any() and np.all(lam[:-1] <= lam[1:]):
-        return lam[::-1].T.reshape(shape + (K,))
-    np.copyto(lam, 0.0, where=pad)
-    return np.sort(lam.T, axis=1)[:, ::-1].reshape(shape + (K,))
+    del e, flag, scaled, Q, E, D, F  # memory the extraction that follows reuses
+    # lam[c] is position K - 1 - c of every base, its c-th largest
+    # eigenvalue when the positions rise: lam[::-1] is in position order,
+    # and each parity fills every other row of it.  It reuses d's memory,
+    # already paged in.
+    lam = d.reshape(-1)[: K * n].reshape(K, n)
+    for par in (0, 1):
+        np.divide(1.0, q[par, : (K + 1 - par) // 2], out=lam[::-1][par::2])
+    del q
+    if not padded and np.all(lam[:-1] >= lam[1:]):
+        return lam.T.reshape(shape + (K,))
+    np.copyto(lam, 0.0, where=np.arange(K)[:, None] < K - orders)
+    return np.sort(lam, axis=0)[::-1].T.reshape(shape + (K,))
 
 
 def _solve_rows(bases: np.ndarray, params: Params, K, floor: float):

@@ -80,11 +80,15 @@ logger = logging.getLogger(__name__)
 _SOLVER_MARGIN = 1e-13
 
 # bound on a wave's entry-sweeps, bases x K_top^2 (entries times sweeps).
-# Median build_table times over 2^17, 2^18, 2^19, 2^20 on a 2-core x86
-# host (numpy 2.4): (1/4, 1) at p_max 10^6 0.111, 0.094, 0.088, 0.100 s;
-# (0, 1) at 10^7 0.427, 0.390, 0.386, 0.427 s; (1/4, 3/2) and (0, 1) at
-# 10^6 within noise up to 2^19; only rho = 0.1 at 10^5 prefers larger
-# waves (0.353 s at 2^19, 0.306 s at 2^20)
+# Median build_table times over 2^17, 2^18, 2^19, 2^20 with the
+# parity-split dqd, 15 interleaved builds each on a 2-core x86 host
+# (numpy 2.4): (0.45, 1), rho = 0.1, at p_max 10^5 175, 126, 103, 92 ms;
+# (0.4, 1), rho = 0.2, at 10^5 42.6, 34.7, 31.9, 35.3 ms; (1/4, 1) at
+# 10^6 53.9, 50.0, 50.5, 58.1 ms; (1/4, 3/2) at 10^6 29.8, 30.4, 33.8,
+# 43.0 ms.  No size is the fastest at every rho: 2^18 costs rho = 0.1
+# a fifth more than 2^19, 2^20 costs rho = 1/2 and 1 15-27% more, and
+# 2^19 costs (1/4, 3/2), rho = 1, 13% more than 2^17.  2^19 stays, the
+# best or close to it everywhere but rho = 0.1 and 1.
 _WAVE_ENTRY_SWEEPS = 2**19
 
 # the largest index the search can carry in int64

@@ -73,13 +73,14 @@ def _power_sums(sigma: float, N: int, M: int) -> tuple[np.ndarray, np.ndarray, f
     """The M x M LCM grid ell = [n, m], F(N // ell) with 0 where ell > N, and F(N).
 
     F(x) = sum_{k <= x} k^(-2 sigma) is read from one prefix table of
-    length N + 1; the counts N // ell never exceed N.
+    length N + 1; the counts N // ell never exceed N, and where ell > N
+    the count is 0, whose entry prefix[0] is 0.0.
     """
     N, M = _integer(N, "N"), _integer(M, "M")
     powers = np.arange(1, N + 1, dtype=float) ** (-2.0 * sigma)
     prefix = np.concatenate(([0.0], np.cumsum(powers)))
     ell = lcm_grid(M)
-    return ell, prefix[np.where(ell <= N, N // ell, 0)], prefix[N]
+    return ell, prefix[N // ell], prefix[N]
 
 
 def build_toeplitz(N: int, sigma: float) -> np.ndarray:
@@ -98,6 +99,7 @@ def gram_via_formula(N: int, sigma: float) -> np.ndarray:
     rescaled_singular_values; it builds several N x N grids and is not on
     that route.
     """
+    N = _integer(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     ell, F, _ = _power_sums(sigma, N, N)
@@ -148,6 +150,7 @@ def rescaled_singular_values(N: int, sigma: float, k: int = 1) -> np.ndarray:
 
 def _grid_and_factor(N: int, M: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """The M x M LCM grid and the Hadamard factor G_N built from it."""
+    N, M = _integer(N, "N"), _integer(M, "M")
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
     rho = _rescaling_rho(sigma)

@@ -38,21 +38,24 @@ def top_eigenvector_overlap(p: float, params: SpectralParams, K: int) -> float:
     return float(abs(vecs[0, -1]))
 
 
-def sequential_dqd(p, params: SpectralParams, K: int):
-    """block_eigenvalues as one sweep after another: the same dqd steps on
-    the same entries, the stopping test after each whole sweep, then the
-    (K - 1) // 2 sweeps the wavefront has in flight when one passes.
-
-    Returns the rows of descending eigenvalues, one per base, and the
-    number of sweeps after which the stopping test first passed.
-    """
+def reversed_factor(p, params: SpectralParams, K: int):
+    """q and e of the reversed factor J B^(-T) J at the bases p, one row per
+    base, built as block_eigenvalues builds them; e[:, i] couples positions
+    i and i + 1."""
     logp = np.log(np.atleast_1d(np.asarray(p, dtype=float))).reshape(-1, 1)
     j = np.arange(K, dtype=float)
     one_minus_x = -np.expm1(-params.tau * logp)
     q = np.exp(params.rho * j * logp) / one_minus_x
     q[:, -1] = np.exp(params.rho * (K - 1) * logp[:, 0])
     e = np.exp((params.rho * j[1:] - params.tau) * logp) / one_minus_x
-    q, e = q[:, ::-1].copy(), e[:, ::-1].copy()
+    return q[:, ::-1].copy(), e[:, ::-1].copy()
+
+
+def sweep_sequentially(q, e, K: int):
+    """dqd sweeps in place, one after another: the stopping test after each
+    whole sweep, then the (K - 1) // 2 sweeps the wavefront has in flight
+    when one passes.  Returns the number of sweeps after which the test
+    first passed."""
     sweeps, passed = 0, None
     while passed is None or sweeps < passed + (K - 1) // 2:
         if passed is None and np.all(e <= local._DQD_TOL * q[:, 1:]):
@@ -66,7 +69,35 @@ def sequential_dqd(p, params: SpectralParams, K: int):
             d *= t
         q[:, -1] = d
         sweeps += 1
+    return passed
+
+
+def sequential_dqd(p, params: SpectralParams, K: int):
+    """block_eigenvalues as one sweep after another: the same dqd steps on
+    the same entries, the stopping test after each whole sweep, then the
+    (K - 1) // 2 sweeps the wavefront has in flight when one passes.
+
+    Returns the rows of descending eigenvalues, one per base, and the
+    number of sweeps after which the stopping test first passed.
+    """
+    q, e = reversed_factor(p, params, K)
+    passed = sweep_sequentially(q, e, K)
     return np.sort(1.0 / q, axis=1)[:, ::-1], passed
+
+
+def padded_sequential_dqd(ps, params: SpectralParams, orders):
+    """block_eigenvalues of a batch with per-base orders as one sweep after
+    another: each factor padded to the largest order K with q = 1 and
+    e = 0, the batch swept until it passes the stopping test and then for
+    the (K - 1) // 2 sweeps in flight, each row sorted with its padding 0."""
+    K = int(max(orders))
+    q, e = np.ones((len(ps), K)), np.zeros((len(ps), K - 1))
+    for b, (p, k) in enumerate(zip(ps, orders)):
+        q[b, :k], e[b, : k - 1] = (x[0] for x in reversed_factor(p, params, int(k)))
+    sweep_sequentially(q, e, K)
+    lam = 1.0 / q
+    lam[np.arange(K) >= np.asarray(orders)[:, None]] = 0.0
+    return np.sort(lam, axis=1)[:, ::-1]
 
 
 def top_overlap(p: float, params: SpectralParams) -> float:
@@ -303,6 +334,26 @@ class TestBlockSolver:
             block_eigenvalues(1000.0, params, 3)
         with pytest.raises(OverflowError, match="overflows double precision"):
             local_spectra([3.0, 1000.0], [P25, params])
+
+    @pytest.mark.parametrize("params", [P25, SpectralParams(0.45, 1.0)], ids=["rho1", "rho0.1"])
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_parity_edges_equal_sequential_sweeps(self, K, params):
+        # every parity of K_top and of the orders below it: the top order,
+        # one below, 3 and 1 pad from positions of both parities.  The
+        # batch equals its padded factor swept sequentially, and each row
+        # its own scalar solve, except at order 2, whose last bit may
+        # follow the batch's sweep count; the padding is 0.  Unpadded, the
+        # batch at K_top equals its sequential sweeps
+        ps = np.array([2.0, 3.0, 7.0, 1999.0])
+        assert np.array_equal(block_eigenvalues(ps, params, K), sequential_dqd(ps, params, K)[0])
+        orders = np.array([K, max(K - 1, 1), min(3, K), 1])
+        got = block_eigenvalues(ps, params, orders)
+        assert got.shape == (ps.size, K)
+        assert np.array_equal(got, padded_sequential_dqd(ps, params, orders))
+        for p, k, row in zip(ps, orders, got):
+            assert not row[k:].any() and not np.signbit(row[k:]).any()
+            if k != 2:
+                assert np.array_equal(row[:k], sequential_dqd(p, params, int(k))[0][0])
 
     @pytest.mark.parametrize("K", [9, None], ids=["one-order", "truncation-orders"])
     def test_per_base_params_equal_sequential_sweeps(self, K):

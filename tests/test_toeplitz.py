@@ -323,7 +323,10 @@ class TestIntegerSizes:
         ],
         ids=["build_toeplitz", "rescaled", "hadamard", "schatten", "gram"],
     )
-    @pytest.mark.parametrize("N", [64.0, np.float64(64.0), 64.5], ids=["float", "numpy", "half"])
+    # N = 0.5: a float below 1 is named as a non-integer before its size is checked
+    @pytest.mark.parametrize(
+        "N", [64.0, np.float64(64.0), 64.5, 0.5], ids=["float", "numpy", "half", "below-one"]
+    )
     def test_float_n_raises_type_error(self, call, N):
         with pytest.raises(TypeError, match="N must be an integer"):
             call(N)
@@ -331,6 +334,33 @@ class TestIntegerSizes:
     def test_float_m_raises_type_error(self):
         with pytest.raises(TypeError, match="M must be an integer"):
             hadamard_factor(64, 16.0, 0.25)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: hadamard_factor(8, 0.5, 0.25), lambda: schatten_diff(8, 0.5, 4, 0.25)],
+        ids=["hadamard", "schatten"],
+    )
+    def test_float_m_below_one_raises_type_error(self, call):
+        with pytest.raises(TypeError, match="M must be an integer"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: build_toeplitz(0, 0.25), "N must be >= 1"),
+            (lambda: rescaled_singular_values(0, 0.25), "N must be >= 1"),
+            (lambda: gram_via_formula(0, 0.25), "N must be >= 1"),
+            (lambda: hadamard_factor(0, 4, 0.25), "N and M must be >= 1"),
+            (lambda: hadamard_factor(8, 0, 0.25), "N and M must be >= 1"),
+            (lambda: schatten_diff(0, 4, 4, 0.25), "N and M must be >= 1"),
+            (lambda: schatten_diff(8, 0, 4, 0.25), "N and M must be >= 1"),
+        ],
+        ids=["build_toeplitz", "rescaled", "gram", "hadamard-N", "hadamard-M", "schatten-N",
+             "schatten-M"],
+    )
+    def test_zero_size_raises_value_error(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_numpy_integers_pass(self):
         n, m, k, q = np.int64(64), np.int32(16), np.int64(3), np.int32(4)
